@@ -96,10 +96,14 @@ class _Adam:
     def step_rows(self, rows: np.ndarray, grad_rows: np.ndarray, lr: float) -> np.ndarray:
         """Update moments for ``rows`` only; return their parameter update."""
         self.t += 1
-        self.m[rows] = self.beta1 * self.m[rows] + (1 - self.beta1) * grad_rows
-        self.v[rows] = self.beta2 * self.v[rows] + (1 - self.beta2) * np.square(grad_rows)
-        m_hat = self.m[rows] / (1 - self.beta1**self.t)
-        v_hat = self.v[rows] / (1 - self.beta2**self.t)
+        # One gather and one write-back per moment: ``rows`` is unique, so
+        # reading ``self.m[rows]`` back after the write would return ``m``.
+        m = self.beta1 * self.m[rows] + (1 - self.beta1) * grad_rows
+        v = self.beta2 * self.v[rows] + (1 - self.beta2) * np.square(grad_rows)
+        self.m[rows] = m
+        self.v[rows] = v
+        m_hat = m / (1 - self.beta1**self.t)
+        v_hat = v / (1 - self.beta2**self.t)
         return -lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
     def clone(self) -> "_Adam":
@@ -149,6 +153,48 @@ def _pair_gradient(
     return grad, resid, pred
 
 
+def _scatter_rows(
+    ls: np.ndarray, lt: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segment-sum ``+grad`` onto rows ``ls`` and ``-grad`` onto rows ``lt``.
+
+    Returns the sorted unique touched rows and their summed gradients.
+    ``np.bincount`` adds into each output cell in input order starting from
+    0.0 — the order ``np.add.at`` uses — so stacking ``[grad; -grad]`` keeps
+    the result bit-identical to scattering ``grad`` then ``-grad`` (see
+    docs/TRAINING.md, "SGD step kernel").
+    """
+    rows, inv = np.unique(np.concatenate([ls, lt]), return_inverse=True)
+    signed = np.concatenate([grad, -grad])
+    full = np.empty((rows.size, grad.shape[1]), dtype=np.float64)
+    # perf: loop-ok (one bincount per embedding dimension)
+    for j in range(grad.shape[1]):
+        full[:, j] = np.bincount(inv, weights=signed[:, j], minlength=rows.size)
+    return rows, full
+
+
+def _step(
+    matrix: np.ndarray,
+    adam: Optional[_Adam],
+    ls: np.ndarray,
+    lt: np.ndarray,
+    grad: np.ndarray,
+    lr: float,
+) -> None:
+    """One batch update of ``matrix`` from per-pair gradients wrt ``v_s``.
+
+    The batch-mean gradient reaches row ``ls[i]`` with ``+grad[i]`` and row
+    ``lt[i]`` with ``-grad[i]``; only the touched rows move (lazy Adam, or
+    plain SGD when ``adam`` is None).
+    """
+    rows, full = _scatter_rows(ls, lt, grad)
+    full /= len(grad)
+    if adam is not None:
+        matrix[rows] += adam.step_rows(rows, full, lr)  # mutation-ok (documented in-place training)
+    else:
+        matrix[rows] -= lr * full  # mutation-ok (documented in-place training)
+
+
 @shapes(pairs="(k,2):int", phi="(k,):float:finite")
 def train_flat(
     model: RNEModel,
@@ -187,17 +233,7 @@ def train_flat(
             )
             sq_sum += float(np.square(resid).sum())
             rel_sum += float((np.abs(resid) / np.maximum(phi[batch], 1e-12)).sum())
-            rows = np.unique(np.concatenate([s, t]))
-            full = np.zeros((rows.size, model.d), dtype=np.float64)
-            pos = np.searchsorted(rows, s)
-            np.add.at(full, pos, grad)
-            pos = np.searchsorted(rows, t)
-            np.add.at(full, pos, -grad)
-            full /= len(batch)
-            if adam is not None:
-                model.matrix[rows] += adam.step_rows(rows, full, lr)  # mutation-ok (documented in-place training)
-            else:
-                model.matrix[rows] -= lr * full  # mutation-ok (documented in-place training)
+            _step(model.matrix, adam, s, t, grad, lr)
             del pred
         result.mse.append(sq_sum / len(pairs))
         result.mean_rel_error.append(rel_sum / len(pairs))
@@ -220,10 +256,11 @@ def train_hierarchical(
 ) -> TrainResult:
     """Train hierarchy local embeddings in place (Function *TrainingHier*).
 
-    ``level_lrs`` has one relative learning rate per level; a level with
-    rate 0 is frozen (its gradient is never even computed).  Passing the
-    same ``adam_states`` across successive calls keeps optimiser momentum
-    through the multi-step schedule of Algorithm 1.
+    ``level_lrs`` has one finite, non-negative relative learning rate per
+    level (``ValueError`` otherwise); a level with rate 0 is frozen (its
+    gradient is never even computed).  Passing the same ``adam_states``
+    across successive calls keeps optimiser momentum through the
+    multi-step schedule of Algorithm 1.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -233,15 +270,18 @@ def train_hierarchical(
         raise ValueError(
             f"level_lrs must have {hmodel.num_levels} entries, got {level_lrs.shape}"
         )
+    if not (np.isfinite(level_lrs).all() and (level_lrs >= 0).all()):
+        raise ValueError(f"level_lrs must be finite and >= 0, got {level_lrs}")
     result = TrainResult()
     if pairs.shape[0] == 0:
         return result
 
-    use_adam = config.optimizer == "adam"
-    if use_adam and adam_states is None:
-        adam_states = new_adam_states(hmodel)
+    states: list[Optional[_Adam]] = [None] * hmodel.num_levels
     scale = 1.0
-    if use_adam:
+    if config.optimizer == "adam":
+        if adam_states is None:
+            adam_states = new_adam_states(hmodel)
+        states = list(adam_states)
         probe = slice(0, min(len(pairs), 2048))
         scale = _adam_lr_scale(hmodel.query_pairs(pairs[probe]), phi[probe])
 
@@ -266,22 +306,14 @@ def train_hierarchical(
             sq_sum += float(np.square(resid).sum())
             rel_sum += float((np.abs(resid) / np.maximum(phi[batch], 1e-12)).sum())
             for level in active:
-                ls = rows_s[:, level]
-                lt = rows_t[:, level]
-                rows = np.unique(np.concatenate([ls, lt]))
-                full = np.zeros((rows.size, hmodel.d), dtype=np.float64)
-                np.add.at(full, np.searchsorted(rows, ls), grad)
-                np.add.at(full, np.searchsorted(rows, lt), -grad)
-                full /= len(batch)
-                lr = config.lr * level_lrs[level] * scale
-                if use_adam:
-                    # mutation-ok (documented in-place training)
-                    hmodel.locals[level][rows] += adam_states[level].step_rows(
-                        rows, full, lr
-                    )
-                else:
-                    # mutation-ok (documented in-place training)
-                    hmodel.locals[level][rows] -= config.lr * level_lrs[level] * full
+                _step(
+                    hmodel.locals[level],
+                    states[level],
+                    rows_s[:, level],
+                    rows_t[:, level],
+                    grad,
+                    config.lr * level_lrs[level] * scale,
+                )
         result.mse.append(sq_sum / len(pairs))
         result.mean_rel_error.append(rel_sum / len(pairs))
         if on_epoch is not None:
