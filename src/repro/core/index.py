@@ -319,7 +319,7 @@ class EmbeddingTreeIndex:
         tau: float,
     ) -> np.ndarray:
         """Range query against a prepared target set (sorted-ids contract)."""
-        if tau < 0:
+        if not tau >= 0:  # also rejects NaN
             raise ValueError(f"tau must be >= 0, got {tau}")
         if prepared.node_active is None or prepared.leaf_pos is None:
             raise ValueError("prepared targets lack tree structure; use prepare()")

@@ -53,6 +53,33 @@ def lp_gradient(diff: np.ndarray, p: float) -> np.ndarray:
     )
 
 
+@shapes(rows="(s,m):float", ids="(m,):int", ret="(s,*):int")
+def _topk_rows(rows: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ``min(k, m)`` nearest ``ids`` in ``(distance, id)`` order.
+
+    ``rows[i, j]`` is the distance from source ``i`` to target ``ids[j]``.
+    Row ``i`` of the result equals ``ids[np.lexsort((ids, rows[i]))[:k]]``,
+    the shared kNN contract, without sorting whole rows: ``np.partition``
+    finds each row's k-th smallest distance, every entry not above it is
+    kept, so ties at the k-th place survive, and one ``(row, distance, id)``
+    lexsort over the survivors orders them.
+    """
+    s, m = rows.shape
+    k_eff = min(k, m)
+    if k_eff == 0:
+        return np.empty((s, 0), dtype=np.int64)
+    kth = np.partition(rows, k_eff - 1, axis=1)[:, k_eff - 1]
+    # "not above" rather than "<=": NaN entries (sorted last by both
+    # partition and lexsort) stay candidates instead of vanishing.
+    keep = ~(rows > kth[:, None])
+    src, col = np.nonzero(keep)
+    cand = ids[col]
+    ordered = cand[np.lexsort((cand, rows[src, col], src))]
+    counts = keep.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    return ordered[starts[:, None] + np.arange(k_eff)]
+
+
 class RNEModel:
     """Embedding matrix + metric: the queryable artefact of training.
 

@@ -48,7 +48,7 @@ from .finetune import FinetuneResult, active_finetune
 from .hierarchical import HierarchicalRNE
 from .index import EmbeddingTreeIndex
 from .metrics import ErrorReport, error_report
-from .model import RNEModel, lp_distance
+from .model import RNEModel, _topk_rows, lp_distance
 from .sampling import (
     DistanceLabeler,
     GridBuckets,
@@ -217,11 +217,7 @@ class RNE:
             block = sources[start : start + chunk]
             diff = self.model.matrix[block][:, None, :] - t_vecs[None, :, :]
             dists = lp_distance(diff, self.model.p)
-            # Full (distance, id) lexsort per row: unlike argpartition it
-            # resolves boundary ties deterministically towards smaller ids.
-            ids = np.broadcast_to(targets, dists.shape)
-            order = np.lexsort((ids, dists), axis=1)[:, :k_eff]
-            out[start : start + chunk] = targets[order]
+            out[start : start + chunk] = _topk_rows(dists, targets, k_eff)
         return out
 
     # -- persistence -------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..algorithms.dijkstra import sssp_many
 from ..core.index import EmbeddingTreeIndex, PreparedTargets
-from ..core.model import RNEModel, lp_distance
+from ..core.model import RNEModel, _topk_rows, lp_distance
 from ..devtools.contracts import shapes
 from ..graph import Graph
 from .cache import LRUCache
@@ -232,9 +232,16 @@ class BatchQueryEngine:
                 return [np.empty(0, dtype=np.int64) for _ in range(sources.size)]
             rows, miss_idx = self._cached_rows(model, prepared, sources)
             out: List[Optional[np.ndarray]] = [None] * sources.size
-            for i, row in rows.items():  # perf: loop-ok (cache hits only)
-                order = np.lexsort((prepared.ids, row))[:k_eff]
-                out[i] = prepared.ids[order]
+            hit_idx = list(rows)
+            step = max(1, _CHUNK_ELEMS // prepared.m)
+            # perf: loop-ok (memory chunking; each chunk is one top-k pass)
+            for start in range(0, len(hit_idx), step):
+                block = hit_idx[start : start + step]
+                top = _topk_rows(
+                    np.stack([rows[i] for i in block]), prepared.ids, k_eff
+                )
+                for i, ids in zip(block, top):  # perf: loop-ok (scatter)
+                    out[i] = ids
             if miss_idx.size:
                 miss_results = self._knn_frontier(
                     model, prepared, sources[miss_idx], k_eff
@@ -253,7 +260,7 @@ class BatchQueryEngine:
         embedding distance ``tau`` — bit-identical to per-query
         ``EmbeddingTreeIndex.range_prepared``.
         """
-        if tau < 0:
+        if not tau >= 0:  # also rejects NaN
             raise ValueError(f"tau must be >= 0, got {tau}")
         model = self._model_or_raise()
         prepared = self.prepare(targets)
@@ -315,7 +322,7 @@ class BatchQueryEngine:
         self, sources: np.ndarray, targets: Targets, tau: float
     ) -> List[np.ndarray]:
         """Batched exact range query (sorted-ids contract)."""
-        if tau < 0:
+        if not tau >= 0:  # also rejects NaN
             raise ValueError(f"tau must be >= 0, got {tau}")
         graph = self._graph_or_raise()
         prepared = self.prepare(targets)
@@ -452,12 +459,7 @@ class BatchQueryEngine:
         index = self.index
         if index is None or not prepared.has_tree:
             rows = self._full_rows(model, prepared, sources)
-            out = []
-            # perf: loop-ok (top-k selection per row)
-            for row in rows:
-                order = np.lexsort((prepared.ids, row))[:k_eff]
-                out.append(prepared.ids[order])
-            return out
+            return list(_topk_rows(rows, prepared.ids, k_eff))
         leaf_ids = prepared.leaf_ids
         member_flat = prepared.member_flat
         member_offsets = prepared.member_offsets

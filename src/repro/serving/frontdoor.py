@@ -65,7 +65,7 @@ def parse_query(line: str) -> Optional[Query]:
         raise ValueError(f"bad {op} parameter {parts[2]!r}")
     if op == "knn" and param < 1:
         raise ValueError(f"k must be >= 1, got {parts[2]}")
-    if op == "range" and param < 0:
+    if op == "range" and not param >= 0:  # also rejects NaN
         raise ValueError(f"tau must be >= 0, got {parts[2]}")
     return Query(op=op, source=source, param=float(param))
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bench.serving import _best_seconds, serving_benchmark
+from repro.serving import engine as engine_module
 
 
 def test_best_seconds_returns_minimum_positive():
@@ -33,3 +34,14 @@ def test_fast_benchmark_schema_and_invariants(tmp_path):
 
     on_disk = json.loads(out.read_text())
     assert on_disk["graph"]["vertices"] == results["graph"]["vertices"]
+
+
+@pytest.mark.slow
+def test_warm_pass_mismatch_raises(tmp_path, monkeypatch):
+    """A wrong hot-row kNN answer fails the run, not just its report."""
+    topk = engine_module._topk_rows
+    monkeypatch.setattr(
+        engine_module, "_topk_rows", lambda rows, ids, k: topk(rows, ids, k)[:, ::-1]
+    )
+    with pytest.raises(RuntimeError, match="batched knn differs"):
+        serving_benchmark(fast=True, out_path=str(tmp_path / "BENCH_serving.json"))

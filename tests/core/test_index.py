@@ -58,6 +58,13 @@ class TestRange:
         with pytest.raises(ValueError):
             index.range_query(0, np.array([1]), -1.0)
 
+    def test_nan_tau_rejected(self, setup):
+        _, _, index, _ = setup
+        prepared = index.prepare(np.array([1, 2], dtype=np.int64))
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            index.range_prepared(0, prepared, float("nan"))
+        assert index.range_prepared(0, prepared, np.inf).tolist() == [1, 2]
+
     def test_targets_restricted(self, setup, small_grid):
         _, _, index, _ = setup
         got = index.range_query(0, np.array([3, 9]), 1e12)

@@ -4,6 +4,21 @@ import numpy as np
 import pytest
 
 from repro.core import RNEModel, lp_distance, lp_gradient
+from repro.core.model import _topk_rows
+
+
+def _lexsort_topk(rows, ids, k):
+    """Reference top-k: a full ``(distance, id)`` lexsort of every row."""
+    # perf: loop-ok (test-only reference implementation)
+    top = [ids[np.lexsort((ids, row))[:k]] for row in rows]
+    return np.array(top, dtype=np.int64).reshape(rows.shape[0], -1)
+
+
+def _tied_rows(rng, s, m):
+    """Distances drawn from {0, 1, 2, 3}: most k-th places are ties."""
+    rows = rng.integers(0, 4, size=(s, m)).astype(np.float64)
+    ids = np.sort(rng.choice(10 * m, size=m, replace=False)).astype(np.int64)
+    return rows, ids
 
 
 class TestLpDistance:
@@ -122,3 +137,46 @@ class TestRNEModel:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             RNEModel(np.zeros((2, 2)), p=0.0)
+
+
+class TestTopkRows:
+    """The shared top-k must equal a per-row full lexsort, ties included."""
+
+    def _assert_matches(self, rows, ids, k):
+        got = _topk_rows(rows, ids, k)
+        want = _lexsort_topk(rows, ids, k)
+        assert got.dtype == np.int64
+        assert got.shape == want.shape == (rows.shape[0], min(k, ids.size))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 5, 12, 30])
+    def test_heavy_ties(self, rng, k):
+        rows, ids = _tied_rows(rng, 7, 12)
+        self._assert_matches(rows, ids, k)  # 12 is k = m, 30 is k > m
+
+    def test_single_row(self, rng):
+        rows, ids = _tied_rows(rng, 1, 20)
+        for k in (1, 3, 20, 25):
+            self._assert_matches(rows, ids, k)
+
+    def test_boundary_tie_breaks_towards_smaller_id(self):
+        rows = np.array([[2.0, 1.0, 1.0, 1.0, 0.0]])
+        ids = np.array([3, 9, 7, 8, 5], dtype=np.int64)
+        np.testing.assert_array_equal(_topk_rows(rows, ids, 3), [[5, 7, 8]])
+
+    def test_randomised_ties_nan_and_inf(self, rng):
+        # perf: loop-ok (randomised differential trials)
+        for trial in range(300):
+            s, m = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+            rows, ids = _tied_rows(rng, s, m)
+            if trial % 3 == 0:
+                rows[rng.random(rows.shape) < 0.2] = np.inf
+            if trial % 5 == 0:
+                rows[rng.random(rows.shape) < 0.2] = np.nan
+            self._assert_matches(rows, ids, int(rng.integers(1, 35)))
+
+    def test_no_targets(self):
+        rows = np.empty((3, 0), dtype=np.float64)
+        out = _topk_rows(rows, np.empty(0, dtype=np.int64), 4)
+        assert out.shape == (3, 0)
+        assert out.dtype == np.int64

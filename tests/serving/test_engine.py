@@ -7,8 +7,12 @@ import pytest
 
 from repro.algorithms.dijkstra import pair_distances
 from repro.algorithms.knn import knn_true, range_true
+from repro.core import RNE, EmbeddingTreeIndex, RNEModel
 from repro.core.index import PreparedTargets
+from repro.core.pipeline import BuildHistory
+from repro.graph import PartitionHierarchy
 from repro.serving import BatchQueryEngine
+from repro.serving import engine as engine_module
 
 
 def _random_targets(rng, n, size, with_duplicates=True):
@@ -46,6 +50,29 @@ class TestConstruction:
             engine.exact_knn(sources, targets, 0)
         with pytest.raises(ValueError):
             engine.exact_range(sources, targets, -0.5)
+
+
+    @pytest.mark.parametrize("tau", [float("nan"), np.float64("nan")])
+    def test_range_query_rejects_nan_tau(self, engine, tau):
+        sources = np.array([0, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            engine.range_query(sources, np.arange(8, dtype=np.int64), tau)
+
+    @pytest.mark.parametrize("tau", [float("nan"), np.float64("nan")])
+    def test_exact_range_rejects_nan_tau(self, engine, tau):
+        sources = np.array([0, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            engine.exact_range(sources, np.arange(8, dtype=np.int64), tau)
+
+    def test_infinite_tau_returns_every_target(self, engine):
+        targets = np.arange(8, dtype=np.int64)
+        sources = np.array([0, 1], dtype=np.int64)
+        for out in (
+            engine.range_query(sources, targets, np.inf),
+            engine.exact_range(sources, targets, np.inf),
+        ):
+            for ids in out:
+                np.testing.assert_array_equal(ids, targets)
 
 
 class TestDistances:
@@ -142,6 +169,119 @@ class TestBatchedBitIdentity:
                 np.stack([np.full_like(unique, s), unique], axis=1)
             )
             np.testing.assert_array_equal(ids, unique[d <= 3.0])
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype == np.int64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def tied_stack(small_grid):
+    """(model, index) whose rows repeat in fours: distances tie everywhere.
+
+    Duplicated rows give bit-equal distances, so most k-th places are ties
+    that only the id tie-break can resolve.
+    """
+    hierarchy = PartitionHierarchy(small_grid, fanout=4, leaf_size=8, seed=0)
+    base = np.random.default_rng(3).normal(size=(small_grid.n // 4, 6))
+    matrix = base[np.arange(small_grid.n) % base.shape[0]]
+    return RNEModel(matrix, p=1.0), EmbeddingTreeIndex(hierarchy, matrix, p=1.0)
+
+
+class TestTiedAnswers:
+    """Hit, miss and fallback kNN answers agree byte for byte under ties."""
+
+    K_VALUES = (1, 2, 3, 5, 8, 40)
+
+    @pytest.fixture()
+    def tied_engine(self, tied_stack, small_grid):
+        model, index = tied_stack
+        return BatchQueryEngine(model=model, index=index, graph=small_grid)
+
+    def _check(self, engine, tied_stack, sources, prepared, k):
+        model, index = tied_stack
+        out = engine.knn(sources, prepared, k)
+        assert len(out) == sources.size
+        for s, ids in zip(sources, out):
+            _assert_same_bytes(ids, index.knn_prepared(int(s), prepared, k))
+            _assert_same_bytes(ids, model.knn_brute(int(s), prepared.ids, k))
+
+    def test_embedding_ties_at_the_kth_place(self, tied_stack, small_grid):
+        model, _ = tied_stack
+        targets = np.arange(0, small_grid.n, 2, dtype=np.int64)
+        d = np.sort(model.distances_from(5, targets))
+        # Distances are bit-equal within each group of duplicated rows.
+        assert any(d[k - 1] == d[k] for k in self.K_VALUES if k < d.size)
+
+    def test_all_hits(self, tied_engine, tied_stack, small_grid, rng):
+        prepared = tied_engine.prepare(np.arange(0, small_grid.n, 2))
+        sources = rng.choice(small_grid.n, size=12, replace=False)
+        tied_engine.knn(sources, prepared, 1)  # first touch
+        tied_engine.knn(sources, prepared, 1)  # promotion
+        for k in self.K_VALUES:
+            hits = tied_engine.hot_rows.hits
+            self._check(tied_engine, tied_stack, sources, prepared, k)
+            assert tied_engine.hot_rows.hits - hits == sources.size
+
+    def test_hits_mixed_with_frontier_misses(
+        self, tied_engine, tied_stack, small_grid, rng
+    ):
+        prepared = tied_engine.prepare(np.arange(1, small_grid.n, 3))
+        order = rng.permutation(small_grid.n)
+        warm, cold = order[:6], order[6:30]
+        tied_engine.knn(warm, prepared, 1)
+        tied_engine.knn(warm, prepared, 1)  # warm sources are now hot rows
+        # Every pass pairs the hot sources with first-touch ones, which the
+        # frontier answers.
+        for k, fresh in zip(self.K_VALUES, np.split(cold, len(self.K_VALUES))):
+            hits, misses = tied_engine.hot_rows.hits, tied_engine.hot_rows.misses
+            batch = rng.permutation(np.concatenate([warm, fresh]))
+            self._check(tied_engine, tied_stack, batch, prepared, k)
+            assert tied_engine.hot_rows.hits - hits == warm.size
+            assert tied_engine.hot_rows.misses - misses == fresh.size
+
+    def test_duplicate_sources(self, tied_engine, tied_stack, small_grid):
+        prepared = tied_engine.prepare(np.arange(small_grid.n))
+        sources = np.array([9, 4, 9, 9, 17, 4, 30, 9], dtype=np.int64)
+        for k in self.K_VALUES:  # first touch, in-batch promotion, hits
+            self._check(tied_engine, tied_stack, sources, prepared, k)
+        assert tied_engine.hot_rows.hits > 0
+
+    def test_stacked_hits_span_several_chunks(
+        self, tied_engine, tied_stack, small_grid, monkeypatch
+    ):
+        prepared = tied_engine.prepare(np.arange(0, small_grid.n, 2))
+        sources = np.arange(0, small_grid.n, 3, dtype=np.int64)
+        tied_engine.knn(sources, prepared, 1)
+        tied_engine.knn(sources, prepared, 1)
+        # Two hit rows per chunk: the 22 stacked hit rows need 11 chunks.
+        monkeypatch.setattr(engine_module, "_CHUNK_ELEMS", 2 * prepared.m)
+        for k in self.K_VALUES:
+            hits = tied_engine.hot_rows.hits
+            self._check(tied_engine, tied_stack, sources, prepared, k)
+            assert tied_engine.hot_rows.hits - hits == sources.size
+
+    def test_no_index_fallback(self, tied_stack, small_grid, monkeypatch):
+        model, _ = tied_stack
+        flat = BatchQueryEngine(model=model, graph=small_grid, row_cache_size=0)
+        targets = np.arange(3, small_grid.n, 2, dtype=np.int64)
+        sources = np.arange(0, small_grid.n, 5, dtype=np.int64)
+        monkeypatch.setattr(engine_module, "_CHUNK_ELEMS", 3 * targets.size * model.d)
+        for k in self.K_VALUES:
+            for s, ids in zip(sources, flat.knn(sources, targets, k)):
+                _assert_same_bytes(ids, model.knn_brute(int(s), targets, k))
+
+    def test_knn_join_matches_brute(self, tied_stack, small_grid):
+        model, index = tied_stack
+        rne = RNE(small_grid, model, index.hierarchy, BuildHistory())
+        targets = np.arange(0, small_grid.n, 2, dtype=np.int64)
+        sources = np.arange(small_grid.n, dtype=np.int64)
+        for k in self.K_VALUES:
+            joined = rne.knn_join(sources, targets, k)
+            assert joined.shape == (sources.size, min(k, targets.size))
+            for s, ids in zip(sources, joined):
+                _assert_same_bytes(ids, model.knn_brute(int(s), targets, k))
 
 
 class TestExactServing:

@@ -31,6 +31,7 @@ class TestParseQuery:
             ("knn 1 x", "bad knn parameter"),
             ("knn 1 0", "k must be >= 1"),
             ("range 1 -2", "tau must be >= 0"),
+            ("range 1 nan", "tau must be >= 0"),
         ],
     )
     def test_malformed(self, line, reason):
@@ -39,6 +40,9 @@ class TestParseQuery:
 
     def test_range_tau_zero_is_legal(self):
         assert parse_query("range 1 0").param == 0.0
+
+    def test_range_tau_inf_is_legal(self):
+        assert parse_query("range 1 inf").param == np.inf
 
 
 class TestMicroBatcher:
