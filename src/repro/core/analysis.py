@@ -67,7 +67,7 @@ def level_contributions(hmodel: HierarchicalRNE, pairs: np.ndarray) -> np.ndarra
     mechanism behind the hierarchy's fast convergence.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
-    anc = hmodel.hierarchy.anc_rows
+    anc = hmodel.anc_rows
     contribs = np.zeros((len(pairs), hmodel.num_levels), dtype=np.float64)
     for level, matrix in enumerate(hmodel.locals):
         rows_s = anc[pairs[:, 0], level]

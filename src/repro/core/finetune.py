@@ -30,7 +30,6 @@ from .sampling import DistanceLabeler, GridBuckets, error_based_samples
 from .training import (
     TrainConfig,
     new_adam_states,
-    train_flat,
     train_hierarchical,
     vertex_only_schedule,
 )
@@ -50,43 +49,6 @@ class FinetuneResult:
     @property
     def rounds(self) -> int:
         return max(len(self.mean_rel_errors) - 1, 0)
-
-
-class _ModelAdapter:
-    """Uniform train / snapshot interface over both model classes."""
-
-    def __init__(self, model: HierarchicalRNE | RNEModel, config: TrainConfig):
-        self.model = model
-        self.config = config
-        if isinstance(model, HierarchicalRNE):
-            self._adam = new_adam_states(model)
-            self._schedule = vertex_only_schedule(model.num_levels)
-        else:
-            self._adam = None
-            self._schedule = None
-
-    def train(self, pairs: np.ndarray, phi: np.ndarray, rng: np.random.Generator) -> None:
-        if isinstance(self.model, HierarchicalRNE):
-            train_hierarchical(
-                self.model, pairs, phi, self._schedule, self.config, rng,
-                adam_states=self._adam,
-            )
-        else:
-            train_flat(self.model, pairs, phi, self.config, rng)
-
-    def query_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        return self.model.query_pairs(pairs)
-
-    def snapshot(self) -> np.ndarray:
-        if isinstance(self.model, HierarchicalRNE):
-            return self.model.locals[-1].copy()
-        return self.model.matrix.copy()
-
-    def restore(self, snap: np.ndarray) -> None:
-        if isinstance(self.model, HierarchicalRNE):
-            self.model.locals[-1] = snap
-        else:
-            self.model.matrix = snap
 
 
 @shapes(val_pairs="(k,2):int", val_phi="(k,):float:finite")
@@ -115,7 +77,16 @@ def active_finetune(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if config is None:
         config = TrainConfig(epochs=2, batch_size=1024, lr=0.01)
-    adapter = _ModelAdapter(model, config)
+    # The flat table trains as a one-level hierarchy.  As RNE-Naive it
+    # restarts Adam every round; the hierarchical model keeps one optimiser
+    # for its vertex level across rounds.
+    hmodel = (
+        HierarchicalRNE.flat(model.matrix, p=model.p)
+        if isinstance(model, RNEModel)
+        else model
+    )
+    adam = None if isinstance(model, RNEModel) else new_adam_states(hmodel)
+    schedule = vertex_only_schedule(hmodel.num_levels)
     val_bucket_ids = buckets.bucket_of_pairs(val_pairs)
     result = FinetuneResult()
     runs_before = labeler.sssp_runs
@@ -125,7 +96,7 @@ def active_finetune(
     best_snapshot: np.ndarray | None = None
 
     def measure() -> tuple[float, np.ndarray]:
-        pred = adapter.query_pairs(val_pairs)
+        pred = hmodel.query_pairs(val_pairs)
         rel, _, _ = bucketed_errors(pred, val_phi, val_bucket_ids, buckets.num_buckets)
         mean_rel = float(np.mean(np.abs(pred - val_phi) / np.maximum(val_phi, 1e-12)))
         return mean_rel, rel
@@ -136,20 +107,23 @@ def active_finetune(
         result.bucket_errors.append(rel)
         if keep_best and mean_rel < best_err:
             best_err = mean_rel
-            best_snapshot = adapter.snapshot()
+            best_snapshot = hmodel.locals[-1].copy()
 
         pairs, phi = error_based_samples(
             buckets, rel, samples_per_round, labeler, rng, mode=mode
         )
         if pairs.shape[0] == 0:
             break
-        adapter.train(pairs, phi, rng)
+        train_hierarchical(
+            hmodel, pairs, phi, schedule, config, rng, adam_states=adam
+        )
 
     mean_rel, rel = measure()
     result.mean_rel_errors.append(mean_rel)
     result.bucket_errors.append(rel)
     if keep_best and best_snapshot is not None and mean_rel > best_err:
-        adapter.restore(best_snapshot)
+        # In place: a flat model's matrix is this level, not a copy.
+        hmodel.locals[-1][...] = best_snapshot
     result.sssp_runs = labeler.sssp_runs - runs_before
     result.pairs_labelled = labeler.pairs_labelled - pairs_before
     return result

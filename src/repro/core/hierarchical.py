@@ -11,6 +11,9 @@ The sum structure shares parameters across all vertices of a cell: coarse
 levels carry the large-norm, region-scale components once for all their
 descendants, which is why hierarchical training converges faster and to a
 better optimum than the flat table (reproduced in Fig. 11).
+
+The flat table itself is the one-level case (:meth:`HierarchicalRNE.flat`):
+every vertex is its own only ancestor, so one training loop serves both.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class HierarchicalRNE:
     ) -> None:
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        self.hierarchy = hierarchy
+        self.hierarchy: PartitionHierarchy | None = hierarchy
+        self.anc_rows = hierarchy.anc_rows
         self.d = int(d)
         self.p = float(p)
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -61,13 +65,29 @@ class HierarchicalRNE:
             self.locals.append(rng.normal(scale=scale, size=(size, self.d)))
             scale *= 0.5
 
+    @classmethod
+    def flat(cls, matrix: np.ndarray, *, p: float = 1.0) -> "HierarchicalRNE":
+        """One-level model whose only level is ``matrix`` (shared, not copied).
+
+        The ancestor rows are the identity ``arange(n)[:, None]`` and there
+        is no partition tree (``hierarchy`` is None), so training this model
+        with ``level_lrs=[1.0]`` trains the flat table in place.
+        """
+        model = object.__new__(cls)
+        model.hierarchy = None
+        model.anc_rows = np.arange(matrix.shape[0], dtype=np.int64)[:, None]
+        model.d = int(matrix.shape[1])
+        model.p = float(p)
+        model.locals = [matrix]
+        return model
+
     @property
     def num_levels(self) -> int:
         return len(self.locals)
 
     @property
     def n(self) -> int:
-        return self.hierarchy.graph.n
+        return int(self.anc_rows.shape[0])
 
     # ------------------------------------------------------------------
     # assembly
@@ -76,7 +96,7 @@ class HierarchicalRNE:
     def global_vectors(self, vertices: np.ndarray) -> np.ndarray:
         """Global embeddings for an array of vertex ids (ancestor sums)."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        rows = self.hierarchy.anc_rows[vertices]
+        rows = self.anc_rows[vertices]
         out = np.zeros((vertices.size, self.d), dtype=np.float64)
         for level, matrix in enumerate(self.locals):
             out += matrix[rows[:, level]]
@@ -92,10 +112,13 @@ class HierarchicalRNE:
         Sum of the node's own local embedding and its ancestors' — used by
         the tree-structured query index (Sec. VI).
         """
+        hierarchy = self.hierarchy
+        if hierarchy is None:
+            raise ValueError("a one-level model has no hierarchy nodes")
         vec = np.zeros(self.d, dtype=np.float64)
         cursor: int | None = node_id
         while cursor is not None:
-            node = self.hierarchy.nodes[cursor]
+            node = hierarchy.nodes[cursor]
             vec += self.locals[node.level][node.row]
             cursor = node.parent
         return vec
@@ -131,6 +154,7 @@ class HierarchicalRNE:
         """
         other = object.__new__(HierarchicalRNE)
         other.hierarchy = self.hierarchy
+        other.anc_rows = self.anc_rows
         other.d = self.d
         other.p = self.p
         other.locals = [m.copy() for m in self.locals]

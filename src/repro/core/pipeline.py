@@ -11,8 +11,10 @@
 5. freeze everything into a flat :class:`~repro.core.model.RNEModel` plus a
    tree index for range/kNN queries.
 
-``hierarchical=False`` skips the hierarchy and trains a flat table on
-random pairs — the paper's RNE-Naive ablation arm.
+Steps 2-4 are rows of one stage table (:func:`_stage_table`) run by one
+loop (:func:`_run_stages`).  ``hierarchical=False`` skips the hierarchy:
+the model is a one-level hierarchy (the flat table) trained on random
+pairs — the paper's RNE-Naive ablation arm.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from ..reliability.checkpoint import (
     pack_state,
     restore_rng,
     rng_state,
+    rollback_pair,
     run_with_recovery,
     unpack_state,
 )
@@ -61,10 +64,8 @@ from .sampling import (
 from .training import (
     TrainConfig,
     TrainResult,
-    clone_adam_states,
     level_schedule,
     new_adam_states,
-    train_flat,
     train_hierarchical,
     vertex_only_schedule,
 )
@@ -341,24 +342,35 @@ def build_rne(
             seed=np.random.default_rng(config.seed + 99),
         )
         mean_phi = _mean_distance_probe(graph, labeler, rng)
-
+        # The hierarchy and initial embeddings are rebuilt deterministically
+        # from config.seed on every call, so a resumed run only needs the
+        # checkpointed matrices, Adam moments and RNG position to be
+        # bit-identical to an uninterrupted one.
+        scale = _init_scale(mean_phi, config.d)
+        hierarchy: PartitionHierarchy | None = None
         if config.hierarchical:
-            model, hierarchy = _build_hierarchical(
-                graph, config, rng, labeler, history, val_pairs, val_phi, mean_phi,
-                manager=manager, resume=resume,
+            hierarchy = PartitionHierarchy(
+                graph, fanout=config.fanout, leaf_size=config.leaf_size, seed=rng
+            )
+            hmodel = HierarchicalRNE(
+                hierarchy, config.d, p=config.p, init_scale=scale, seed=rng
             )
         else:
-            model, hierarchy = _build_flat(
-                graph, config, rng, labeler, history, val_pairs, val_phi, mean_phi,
-                manager=manager, resume=resume,
+            hmodel = HierarchicalRNE.flat(
+                rng.normal(scale=scale, size=(graph.n, config.d)), p=config.p
             )
+        stages = _stage_table(graph, config, hierarchy, hmodel.num_levels, labeler)
+        _run_stages(
+            stages, graph, config, hmodel, rng, labeler, history, val_pairs,
+            val_phi, manager=manager, resume=resume,
+        )
         history.labeling = labeler.snapshot()
     finally:
         labeler.close()
 
     history.build_seconds = time.perf_counter() - start
     history.sssp_runs = labeler.sssp_runs
-    rne = RNE(graph, model, hierarchy, history)
+    rne = RNE(graph, hmodel.to_model(), hierarchy, history)
     history.phase_errors["final"] = rne.validate(val_pairs, val_phi).mean_rel
     return rne
 
@@ -416,7 +428,7 @@ def _restore_latest(
     manager: CheckpointManager,
     stage_names: list[str],
     matrices: list[np.ndarray],
-    adam_states: list[Any] | None,
+    adam_states: list[Any],
     rng: np.random.Generator,
     history: BuildHistory,
 ) -> int:
@@ -451,391 +463,225 @@ def _restore_latest(
     return stage_names.index(stage)
 
 
-def _build_hierarchical(
+@dataclass(frozen=True)
+class _Stage:
+    """One training step of Algorithm 1: a row of the stage table.
+
+    ``sample`` draws and labels the step's pairs from the step's own RNG
+    stream; it runs as a prefetch job, so it never touches the model or
+    the main RNG.  ``sample=None`` marks active fine-tuning, whose
+    error-driven draws depend on the live model; it applies its
+    vertex-only ``level_lrs`` inside :func:`active_finetune`.  ``lr`` is the
+    base learning rate that divergence recovery backs off from, and
+    ``error_key`` the ``phase_errors`` entry recorded after the step, if any.
+    """
+
+    name: str
+    sample: Callable[[], tuple[np.ndarray, np.ndarray]] | None
+    level_lrs: np.ndarray
+    epochs: int
+    lr: float
+    error_key: str | None = None
+
+
+def _stage_table(
     graph: Graph,
     config: RNEConfig,
-    rng: np.random.Generator,
+    hierarchy: PartitionHierarchy | None,
+    num_levels: int,
     labeler: DistanceLabeler,
-    history: BuildHistory,
-    val_pairs: np.ndarray,
-    val_phi: np.ndarray,
-    mean_phi: float,
-    *,
-    manager: CheckpointManager | None = None,
-    resume: bool = False,
-) -> tuple[RNEModel, PartitionHierarchy]:
-    # The hierarchy and initial embeddings are reconstructed
-    # deterministically from config.seed on every call, so a resumed run
-    # only needs the checkpointed matrices / Adam moments / RNG position to
-    # be bit-identical to an uninterrupted one.
-    hierarchy = PartitionHierarchy(
-        graph, fanout=config.fanout, leaf_size=config.leaf_size, seed=rng
-    )
-    hmodel = HierarchicalRNE(
-        hierarchy,
-        config.d,
-        p=config.p,
-        init_scale=_init_scale(mean_phi, config.d),
-        seed=rng,
-    )
-    adam = new_adam_states(hmodel)
+) -> list[_Stage]:
+    """Algorithm 1 as data: the training steps :func:`_run_stages` runs.
 
-    stage_names = [f"hier_level_{f}" for f in range(hierarchy.num_subgraph_levels)]
-    stage_names.append("vertex")
-    if config.joint_epochs > 0:
-        stage_names.append("joint")
-    run_finetune = config.active and graph.coords is not None
-    if run_finetune:
-        stage_names.append("finetune")
-
-    resume_step = -1
-    if manager is not None and resume:
-        resume_step = _restore_latest(
-            manager, stage_names, hmodel.locals, adam, rng, history
-        )
-
-    def pending(name: str) -> bool:
-        # Skipped stages consume no RNG draws: the restored stream position
-        # already accounts for everything up to and including the checkpoint.
-        return stage_names.index(name) > resume_step
-
-    def snapshot() -> tuple[Any, ...]:
-        return (
-            [m.copy() for m in hmodel.locals],
-            clone_adam_states(adam),
-            rng_state(rng),
-        )
-
-    def restore(snap: tuple[Any, ...]) -> None:
-        mats, states, rstate = snap
-        for matrix, saved in zip(hmodel.locals, mats):
-            matrix[...] = saved
-        for cur, saved in zip(adam, states):
-            cur.m[...] = saved.m
-            cur.v[...] = saved.v
-            cur.t = saved.t
-        restore_rng(rng, rstate)
-
-    def run_stage(
-        name: str,
-        attempt: Callable[[float], Any],
-        *,
-        history_of: Callable[[Any], Sequence[float]] | None = None,
-    ) -> Any:
-        outcome = run_with_recovery(
-            attempt, snapshot, restore, stage=name, history_of=history_of
-        )
-        history.notes.extend(outcome.notes)
-        return outcome.result
-
-    def checkpoint(name: str) -> None:
-        if manager is None:
-            return
-        arrays, meta = pack_state(hmodel.locals, adam)
-        meta["rng_state"] = rng_state(rng)
-        meta["worker_config"] = {
-            "workers": resolve_workers(config.workers),
-            "prefetch": bool(config.prefetch),
-        }
-        meta.update(_serialize_history(history))
-        manager.save(name, arrays, meta, step=stage_names.index(name))
-
-    # Sample generation + labelling for every pending training stage is
-    # queued on the prefetch pipeline: each job draws from its own
-    # per-stage RNG stream (see _stage_rng), so phase-(k+1) labelling can
-    # run on the background thread while phase-k SGD epochs consume the
-    # main RNG — bit-identical to the synchronous order either way.
-    pipeline = PrefetchPipeline(enabled=config.prefetch)
-    for focus in range(hierarchy.num_subgraph_levels):
-        name = f"hier_level_{focus}"
-        if pending(name):
-            pipeline.add(
-                name,
-                lambda _f=focus, _n=name: subgraph_level_samples(
-                    hierarchy,
-                    _f,
-                    config.hier_samples_per_level,
-                    labeler,
-                    _stage_rng(config.seed, _n),
-                ),
-            )
-    if pending("vertex"):
-        landmarks = select_landmarks(
-            graph,
-            min(config.num_landmarks, graph.n),
-            strategy=config.landmark_strategy,
-            seed=_stage_rng(config.seed, "landmarks"),
-        )
-        pipeline.add(
-            "vertex",
-            lambda _lm=landmarks: landmark_samples(
-                graph,
-                _lm,
-                config.vertex_samples,
-                labeler,
-                _stage_rng(config.seed, "vertex"),
-            ),
-        )
-    if config.joint_epochs > 0 and pending("joint"):
-        pipeline.add(
-            "joint",
+    With a hierarchy: one focused step per sub-graph level, the vertex
+    step on landmark samples, the joint polish (when ``joint_epochs > 0``).
+    Without one (``hierarchical=False``, RNE-Naive) the one-level model
+    has a single step on random pairs.  Either arm ends with active
+    fine-tuning when ``active`` is set and the graph has coordinates.
+    """
+    seed = config.seed
+    stages: list[_Stage] = []
+    if hierarchy is None:
+        # Same sample budget and epochs as the hierarchical arm, for fair
+        # ablations.
+        budget = config.hier_samples_per_level + config.vertex_samples
+        stages.append(_Stage(
+            "flat",
             lambda: random_pair_samples(
-                graph,
-                config.joint_samples,
-                labeler,
-                _stage_rng(config.seed, "joint"),
+                graph, budget, labeler, _stage_rng(seed, "flat")
             ),
-        )
-    pipeline.start()
-
-    try:
-        # Phase 1: level-by-level hierarchy embedding.
+            np.ones(1, dtype=np.float64),
+            config.hier_epochs + config.vertex_epochs,
+            config.lr,
+            "after_flat",
+        ))
+    else:
+        last = hierarchy.num_subgraph_levels - 1
         for focus in range(hierarchy.num_subgraph_levels):
             name = f"hier_level_{focus}"
-            if not pending(name):
-                continue
-            stage_start = time.perf_counter()
-            pairs, phi = pipeline.get(name)
-            schedule = level_schedule(focus, hmodel.num_levels)
-
-            def attempt(
-                lr_scale: float,
-                _pairs: np.ndarray = pairs,
-                _phi: np.ndarray = phi,
-                _schedule: np.ndarray = schedule,
-                _name: str = name,
-            ) -> TrainResult:
-                return train_hierarchical(
-                    hmodel,
-                    _pairs,
-                    _phi,
-                    _schedule,
-                    config.train_config(config.hier_epochs, lr=config.lr * lr_scale),
-                    rng,
-                    adam_states=adam,
-                    on_epoch=abort_on_nonfinite(_name),
-                )
-
-            history.train_results[name] = run_stage(name, attempt)
-            history.phase_seconds[name] = time.perf_counter() - stage_start
-            if focus == hierarchy.num_subgraph_levels - 1:
-                history.phase_errors["after_hierarchy"] = error_report(
-                    hmodel.query_pairs(val_pairs), val_phi
-                ).mean_rel
-            checkpoint(name)
-
-        # Phase 2: vertex embedding on landmark samples, coarse levels frozen.
-        if pending("vertex"):
-            stage_start = time.perf_counter()
-            pairs, phi = pipeline.get("vertex")
-
-            def attempt_vertex(
-                lr_scale: float, _pairs: np.ndarray = pairs, _phi: np.ndarray = phi
-            ) -> TrainResult:
-                return train_hierarchical(
-                    hmodel,
-                    _pairs,
-                    _phi,
-                    vertex_only_schedule(hmodel.num_levels),
-                    config.train_config(config.vertex_epochs, lr=config.lr * lr_scale),
-                    rng,
-                    adam_states=adam,
-                    on_epoch=abort_on_nonfinite("vertex"),
-                )
-
-            history.train_results["vertex"] = run_stage("vertex", attempt_vertex)
-            history.phase_seconds["vertex"] = time.perf_counter() - stage_start
-            history.phase_errors["after_vertex"] = error_report(
-                hmodel.query_pairs(val_pairs), val_phi
-            ).mean_rel
-            checkpoint("vertex")
-
-        # Phase 2.5: joint all-level polish on random pairs.
-        if config.joint_epochs > 0 and pending("joint"):
-            stage_start = time.perf_counter()
-            pairs, phi = pipeline.get("joint")
-
-            def attempt_joint(
-                lr_scale: float, _pairs: np.ndarray = pairs, _phi: np.ndarray = phi
-            ) -> TrainResult:
-                return train_hierarchical(
-                    hmodel,
-                    _pairs,
-                    _phi,
-                    np.full(
-                        hmodel.num_levels, config.joint_lr_weight, dtype=np.float64
-                    ),
-                    config.train_config(config.joint_epochs, lr=config.lr * lr_scale),
-                    rng,
-                    adam_states=adam,
-                    on_epoch=abort_on_nonfinite("joint"),
-                )
-
-            history.train_results["joint"] = run_stage("joint", attempt_joint)
-            history.phase_seconds["joint"] = time.perf_counter() - stage_start
-            history.phase_errors["after_joint"] = error_report(
-                hmodel.query_pairs(val_pairs), val_phi
-            ).mean_rel
-            checkpoint("joint")
-    finally:
-        pipeline.close()
-
-    # Phase 3: active fine-tuning on grid buckets.  Error-driven selection
-    # depends on the live model, so it cannot be prefetched; it runs on the
-    # main RNG stream like the training loops.
-    if config.active:
-        if graph.coords is None:
-            note = "graph has no coordinates: fine-tuning skipped"
-            if note not in history.notes:
-                history.notes.append(note)
-        elif pending("finetune"):
-            stage_start = time.perf_counter()
-            buckets = GridBuckets(graph, config.grid_k, seed=rng)
-
-            def attempt_finetune(lr_scale: float) -> FinetuneResult:
-                return active_finetune(
-                    hmodel,
-                    buckets,
-                    labeler,
-                    val_pairs,
-                    val_phi,
-                    rounds=config.finetune_rounds,
-                    samples_per_round=config.finetune_samples,
-                    mode=config.finetune_mode,
-                    config=config.train_config(2, lr=config.lr / 2 * lr_scale),
-                    seed=rng,
-                )
-
-            history.finetune = run_stage(
-                "finetune",
-                attempt_finetune,
-                history_of=lambda r: r.mean_rel_errors,
-            )
-            history.phase_seconds["finetune"] = time.perf_counter() - stage_start
-            history.phase_errors["after_finetune"] = history.finetune.mean_rel_errors[-1]
-            checkpoint("finetune")
-
-    return hmodel.to_model(), hierarchy
+            stages.append(_Stage(
+                name,
+                lambda _f=focus, _n=name: subgraph_level_samples(
+                    hierarchy, _f, config.hier_samples_per_level, labeler,
+                    _stage_rng(seed, _n),
+                ),
+                level_schedule(focus, num_levels),
+                config.hier_epochs,
+                config.lr,
+                "after_hierarchy" if focus == last else None,
+            ))
+        stages.append(_Stage(
+            "vertex",
+            lambda: landmark_samples(
+                graph,
+                select_landmarks(
+                    graph,
+                    min(config.num_landmarks, graph.n),
+                    strategy=config.landmark_strategy,
+                    seed=_stage_rng(seed, "landmarks"),
+                ),
+                config.vertex_samples,
+                labeler,
+                _stage_rng(seed, "vertex"),
+            ),
+            vertex_only_schedule(num_levels),
+            config.vertex_epochs,
+            config.lr,
+            "after_vertex",
+        ))
+        if config.joint_epochs > 0:
+            stages.append(_Stage(
+                "joint",
+                lambda: random_pair_samples(
+                    graph, config.joint_samples, labeler, _stage_rng(seed, "joint")
+                ),
+                np.full(num_levels, config.joint_lr_weight, dtype=np.float64),
+                config.joint_epochs,
+                config.lr,
+                "after_joint",
+            ))
+    if config.active and graph.coords is not None:
+        stages.append(_Stage(
+            "finetune",
+            None,
+            vertex_only_schedule(num_levels),
+            2,
+            config.lr / 4 if hierarchy is None else config.lr / 2,
+            "after_finetune",
+        ))
+    return stages
 
 
-def _build_flat(
+def _run_stages(
+    stages: list[_Stage],
     graph: Graph,
     config: RNEConfig,
+    hmodel: HierarchicalRNE,
     rng: np.random.Generator,
     labeler: DistanceLabeler,
     history: BuildHistory,
     val_pairs: np.ndarray,
     val_phi: np.ndarray,
-    mean_phi: float,
     *,
-    manager: CheckpointManager | None = None,
-    resume: bool = False,
-) -> tuple[RNEModel, PartitionHierarchy | None]:
-    """RNE-Naive: flat table, random pairs, no structural help."""
-    model = RNEModel.random(
-        graph.n,
-        config.d,
-        p=config.p,
-        scale=_init_scale(mean_phi, config.d),
-        seed=rng,
+    manager: CheckpointManager | None,
+    resume: bool,
+) -> None:
+    """Train ``hmodel`` in place through the stage table, one loop for all.
+
+    Each step runs under divergence recovery, records its training
+    history and validation error, and writes a checkpoint.  With
+    ``resume`` the latest valid checkpoint is restored first and only the
+    later steps run; skipped steps consume no RNG draws, because the
+    restored stream position already accounts for them.
+    """
+    names = [stage.name for stage in stages]
+    adam = new_adam_states(hmodel)
+    done = -1
+    if manager is not None and resume:
+        done = _restore_latest(manager, names, hmodel.locals, adam, rng, history)
+    snapshot, restore = rollback_pair(hmodel.locals, adam, rng)
+    # Fine-tuning keeps its own optimiser.  The flat table is fine-tuned
+    # through a view on its only level, which restarts Adam every round.
+    tuned: HierarchicalRNE | RNEModel = (
+        hmodel
+        if hmodel.hierarchy is not None
+        else RNEModel(hmodel.locals[0], p=hmodel.p)
     )
 
-    stage_names = ["flat"]
-    run_finetune = config.active and graph.coords is not None
-    if run_finetune:
-        stage_names.append("finetune")
+    # Every pending step's samples are queued on the prefetch pipeline:
+    # each job draws from its own per-stage RNG stream, so step-(k+1)
+    # labelling can overlap step-k SGD epochs on the main RNG and stay
+    # bit-identical to the synchronous order.
+    prefetch = PrefetchPipeline(enabled=config.prefetch)
+    for stage in stages[done + 1 :]:
+        if stage.sample is not None:
+            prefetch.add(stage.name, stage.sample)
+    prefetch.start()
+    try:
+        for step, stage in enumerate(stages):
+            if step <= done:
+                continue
+            stage_start = time.perf_counter()
+            if stage.sample is None:
+                buckets = GridBuckets(graph, config.grid_k, seed=rng)
+                outcome = run_with_recovery(
+                    lambda scale, _s=stage: active_finetune(
+                        tuned,
+                        buckets,
+                        labeler,
+                        val_pairs,
+                        val_phi,
+                        rounds=config.finetune_rounds,
+                        samples_per_round=config.finetune_samples,
+                        mode=config.finetune_mode,
+                        config=config.train_config(_s.epochs, lr=_s.lr * scale),
+                        seed=rng,
+                    ),
+                    snapshot,
+                    restore,
+                    stage=stage.name,
+                    history_of=lambda r: r.mean_rel_errors,
+                )
+                history.finetune = outcome.result
+            else:
+                pairs, phi = prefetch.get(stage.name)
+                outcome = run_with_recovery(
+                    lambda scale, _s=stage: train_hierarchical(
+                        hmodel,
+                        pairs,
+                        phi,
+                        _s.level_lrs,
+                        config.train_config(_s.epochs, lr=_s.lr * scale),
+                        rng,
+                        adam_states=adam,
+                        on_epoch=abort_on_nonfinite(_s.name),
+                    ),
+                    snapshot,
+                    restore,
+                    stage=stage.name,
+                )
+                history.train_results[stage.name] = outcome.result
+            history.notes.extend(outcome.notes)
+            history.phase_seconds[stage.name] = time.perf_counter() - stage_start
+            if stage.error_key is not None:
+                history.phase_errors[stage.error_key] = (
+                    outcome.result.mean_rel_errors[-1]
+                    if stage.sample is None
+                    else error_report(hmodel.query_pairs(val_pairs), val_phi).mean_rel
+                )
+            if manager is not None:
+                arrays, meta = pack_state(hmodel.locals, adam)
+                meta["rng_state"] = rng_state(rng)
+                meta["worker_config"] = {
+                    "workers": resolve_workers(config.workers),
+                    "prefetch": bool(config.prefetch),
+                }
+                meta.update(_serialize_history(history))
+                manager.save(stage.name, arrays, meta, step=step)
+    finally:
+        prefetch.close()
 
-    resume_step = -1
-    if manager is not None and resume:
-        # No persisted Adam state: train_flat creates its own optimiser per
-        # call, so stage-boundary resume is exact without it.
-        resume_step = _restore_latest(
-            manager, stage_names, [model.matrix], None, rng, history
-        )
-
-    def snapshot() -> tuple[Any, ...]:
-        return (model.matrix.copy(), rng_state(rng))
-
-    def restore(snap: tuple[Any, ...]) -> None:
-        saved, rstate = snap
-        model.matrix[...] = saved
-        restore_rng(rng, rstate)
-
-    def checkpoint(name: str) -> None:
-        if manager is None:
-            return
-        arrays, meta = pack_state([model.matrix])
-        meta["rng_state"] = rng_state(rng)
-        meta["worker_config"] = {
-            "workers": resolve_workers(config.workers),
-            "prefetch": bool(config.prefetch),
-        }
-        meta.update(_serialize_history(history))
-        manager.save(name, arrays, meta, step=stage_names.index(name))
-
-    if resume_step < 0:
-        stage_start = time.perf_counter()
-        total = (
-            config.hier_samples_per_level + config.vertex_samples
-        )  # same sample budget as the hierarchical arm, for fair ablations
-        # Single training stage: nothing to overlap, but the sample stream
-        # is still per-stage so flat and hierarchical arms share conventions.
-        pairs, phi = random_pair_samples(
-            graph, total, labeler, _stage_rng(config.seed, "flat")
-        )
-
-        def attempt_flat(
-            lr_scale: float, _pairs: np.ndarray = pairs, _phi: np.ndarray = phi
-        ) -> TrainResult:
-            return train_flat(
-                model,
-                _pairs,
-                _phi,
-                config.train_config(
-                    config.hier_epochs + config.vertex_epochs,
-                    lr=config.lr * lr_scale,
-                ),
-                rng,
-                on_epoch=abort_on_nonfinite("flat"),
-            )
-
-        outcome = run_with_recovery(attempt_flat, snapshot, restore, stage="flat")
-        history.notes.extend(outcome.notes)
-        history.train_results["flat"] = outcome.result
-        history.phase_seconds["flat"] = time.perf_counter() - stage_start
-        history.phase_errors["after_flat"] = error_report(
-            model.query_pairs(val_pairs), val_phi
-        ).mean_rel
-        checkpoint("flat")
-
-    if run_finetune and resume_step < stage_names.index("finetune"):
-        stage_start = time.perf_counter()
-        buckets = GridBuckets(graph, config.grid_k, seed=rng)
-
-        def attempt_finetune(lr_scale: float) -> FinetuneResult:
-            return active_finetune(
-                model,
-                buckets,
-                labeler,
-                val_pairs,
-                val_phi,
-                rounds=config.finetune_rounds,
-                samples_per_round=config.finetune_samples,
-                mode=config.finetune_mode,
-                config=config.train_config(2, lr=config.lr / 4 * lr_scale),
-                seed=rng,
-            )
-
-        outcome = run_with_recovery(
-            attempt_finetune,
-            snapshot,
-            restore,
-            stage="finetune",
-            history_of=lambda r: r.mean_rel_errors,
-        )
-        history.notes.extend(outcome.notes)
-        history.finetune = outcome.result
-        history.phase_seconds["finetune"] = time.perf_counter() - stage_start
-        history.phase_errors["after_finetune"] = history.finetune.mean_rel_errors[-1]
-        checkpoint("finetune")
-    return model, None
+    if config.active and graph.coords is None:
+        note = "graph has no coordinates: fine-tuning skipped"
+        if note not in history.notes:
+            history.notes.append(note)

@@ -28,7 +28,7 @@ behaviour does not depend on the map's units or the training phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, Optional
 
 #: Per-epoch observer hook: ``on_epoch(epoch, mse, mean_rel_error)``.
 #: Used by the reliability layer for divergence aborts and checkpoint
@@ -105,14 +105,6 @@ class _Adam:
         m_hat = m / (1 - self.beta1**self.t)
         v_hat = v / (1 - self.beta2**self.t)
         return -lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-
-    def clone(self) -> "_Adam":
-        """Deep copy of moments and step counter (checkpoint snapshots)."""
-        other = _Adam(self.m.shape, beta1=self.beta1, beta2=self.beta2)
-        other.m = self.m.copy()
-        other.v = self.v.copy()
-        other.t = self.t
-        return other
 
 
 def _epoch_batches(
@@ -205,41 +197,21 @@ def train_flat(
     *,
     on_epoch: Optional[EpochHook] = None,
 ) -> TrainResult:
-    """Train a flat embedding table in place (paper's Function *Training*)."""
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    pairs = np.asarray(pairs, dtype=np.int64)
-    phi = np.asarray(phi, dtype=np.float64)
-    if pairs.shape[0] != phi.shape[0]:
-        raise ValueError("pairs and phi must align")
-    result = TrainResult()
-    if pairs.shape[0] == 0:
-        return result
+    """Train a flat embedding table in place (paper's Function *Training*).
 
-    adam = _Adam(model.matrix.shape) if config.optimizer == "adam" else None
-    lr = config.lr
-    if adam is not None:
-        probe = slice(0, min(len(pairs), 2048))
-        lr *= _adam_lr_scale(model.query_pairs(pairs[probe]), phi[probe])
-
-    for epoch in range(config.epochs):
-        sq_sum = 0.0
-        rel_sum = 0.0
-        # perf: loop-ok (one iteration per batch, each fully vectorised)
-        for batch in _epoch_batches(len(pairs), config.batch_size, config.shuffle, rng):
-            s = pairs[batch, 0]
-            t = pairs[batch, 1]
-            grad, resid, pred = _pair_gradient(
-                model.matrix[s], model.matrix[t], phi[batch], model.p
-            )
-            sq_sum += float(np.square(resid).sum())
-            rel_sum += float((np.abs(resid) / np.maximum(phi[batch], 1e-12)).sum())
-            _step(model.matrix, adam, s, t, grad, lr)
-            del pred
-        result.mse.append(sq_sum / len(pairs))
-        result.mean_rel_error.append(rel_sum / len(pairs))
-        if on_epoch is not None:
-            on_epoch(epoch, result.mse[-1], result.mean_rel_error[-1])
-    return result
+    The flat table is a one-level hierarchy, so this is
+    :func:`train_hierarchical` on :meth:`HierarchicalRNE.flat` at rate 1
+    with a fresh optimiser.
+    """
+    return train_hierarchical(
+        HierarchicalRNE.flat(model.matrix, p=model.p),
+        pairs,
+        phi,
+        [1.0],
+        config,
+        rng,
+        on_epoch=on_epoch,
+    )
 
 
 @shapes(pairs="(k,2):int", phi="(k,):float:finite")
@@ -272,6 +244,8 @@ def train_hierarchical(
         )
     if not (np.isfinite(level_lrs).all() and (level_lrs >= 0).all()):
         raise ValueError(f"level_lrs must be finite and >= 0, got {level_lrs}")
+    if pairs.shape[0] != phi.shape[0]:
+        raise ValueError("pairs and phi must align")
     result = TrainResult()
     if pairs.shape[0] == 0:
         return result
@@ -285,7 +259,7 @@ def train_hierarchical(
         probe = slice(0, min(len(pairs), 2048))
         scale = _adam_lr_scale(hmodel.query_pairs(pairs[probe]), phi[probe])
 
-    anc = hmodel.hierarchy.anc_rows
+    anc = hmodel.anc_rows
     active = [l for l in range(hmodel.num_levels) if level_lrs[l] > 0]
 
     for epoch in range(config.epochs):
@@ -324,11 +298,6 @@ def train_hierarchical(
 def new_adam_states(hmodel: HierarchicalRNE) -> list[_Adam]:
     """Fresh Adam state per level, for threading through multiple calls."""
     return [_Adam(m.shape) for m in hmodel.locals]
-
-
-def clone_adam_states(states: List[_Adam]) -> List[_Adam]:
-    """Deep-copied optimiser states (pre-stage snapshots for rollback)."""
-    return [state.clone() for state in states]
 
 
 def level_schedule(focus: int, num_levels: int, *, alpha0: float = 1.0) -> np.ndarray:

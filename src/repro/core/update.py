@@ -29,7 +29,7 @@ derived state — tree-index radii, hot-row caches — incrementally.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -37,8 +37,7 @@ import numpy as np
 from ..graph import Graph
 from ..reliability.checkpoint import (
     abort_on_nonfinite,
-    restore_rng,
-    rng_state,
+    rollback_pair,
     run_with_recovery,
 )
 from .hierarchical import HierarchicalRNE
@@ -47,7 +46,6 @@ from .sampling import DistanceLabeler, _budgeted_samples, stage_rng, validation_
 from .training import (
     TrainConfig,
     TrainResult,
-    clone_adam_states,
     new_adam_states,
     train_hierarchical,
     vertex_only_schedule,
@@ -200,22 +198,7 @@ def update_rne(
             t = rng.integers(new_graph.n, size=k).astype(np.int64)
             return np.column_stack([s, t])
 
-        def snapshot() -> tuple[Any, ...]:
-            return (
-                [m.copy() for m in scratch.locals],
-                clone_adam_states(adam),
-                rng_state(rng),
-            )
-
-        def restore(snap: tuple[Any, ...]) -> None:
-            mats, states, rstate = snap
-            for matrix, saved in zip(scratch.locals, mats):
-                matrix[...] = saved
-            for cur, saved_state in zip(adam, states):
-                cur.m[...] = saved_state.m
-                cur.v[...] = saved_state.v
-                cur.t = saved_state.t
-            restore_rng(rng, rstate)
+        snapshot, restore = rollback_pair(scratch.locals, adam, rng)
 
         best_err = result.error_before
         best_vertex: np.ndarray | None = None
@@ -239,13 +222,7 @@ def update_rne(
                     _pairs,
                     _phi,
                     schedule,
-                    TrainConfig(
-                        epochs=train_config.epochs,
-                        batch_size=train_config.batch_size,
-                        lr=train_config.lr * lr_scale,
-                        optimizer=train_config.optimizer,
-                        shuffle=train_config.shuffle,
-                    ),
+                    replace(train_config, lr=train_config.lr * lr_scale),
                     rng,
                     adam_states=adam,
                     on_epoch=abort_on_nonfinite(_stage),
@@ -269,7 +246,7 @@ def update_rne(
                 hmodel.locals[-1] = best_vertex
                 result.published = True
                 result.changed_rows = np.nonzero(
-                    row_changed[hmodel.hierarchy.anc_rows[:, -1]]
+                    row_changed[hmodel.anc_rows[:, -1]]
                 )[0]
         result.error_after = error_report(
             hmodel.query_pairs(val_pairs), val_phi

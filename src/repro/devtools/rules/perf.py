@@ -1,8 +1,8 @@
 """RNE004: no Python-level loops over vertices/pairs in hot-path modules.
 
-``core/training.py``, ``core/finetune.py``, ``core/index.py`` and the
-serving engine/front door are the modules every query and every training
-step flows through; a Python ``for`` over per-vertex or per-pair data
+``core/training.py``, ``core/finetune.py``, the build driver
+``core/pipeline.py``, ``core/index.py`` and the serving engine/front door
+are the modules every query and every training step flows through; a Python ``for`` over per-vertex or per-pair data
 there is an O(n) interpreter loop hiding inside an otherwise vectorised
 path.  Loops that are genuinely bounded by something small (epochs,
 levels, tree fanout, cache bookkeeping) carry a ``# perf: loop-ok``
@@ -19,6 +19,7 @@ from .base import FileContext, Rule, Violation
 HOT_PATH_FILES = (
     "core/training.py",
     "core/finetune.py",
+    "core/pipeline.py",
     "core/index.py",
     "core/sampling.py",
     "core/update.py",

@@ -181,6 +181,7 @@ def _vertex_view(rne: RNE) -> HierarchicalRNE:
         raise ValueError("hierarchy vertex level is not the identity mapping")
     view = object.__new__(HierarchicalRNE)
     view.hierarchy = hierarchy
+    view.anc_rows = anc
     view.d = rne.model.d
     view.p = rne.model.p
     view.locals = [

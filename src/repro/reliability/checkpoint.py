@@ -52,6 +52,7 @@ __all__ = [
     "pack_state",
     "restore_rng",
     "rng_state",
+    "rollback_pair",
     "run_with_recovery",
     "unpack_state",
 ]
@@ -105,16 +106,20 @@ def unpack_state(
     """Restore packed state *in place* into ``matrices`` / ``adam_states``.
 
     Shape mismatches (a checkpoint from a different architecture or
-    hierarchy) raise :class:`ArtifactError` rather than silently writing
-    misaligned parameters.  Returns the embedding version the checkpoint
-    was packed with (``meta["model_version"]``), or ``None`` for
-    checkpoints written before live updates existed.
+    hierarchy) and missing Adam state raise :class:`ArtifactError` rather
+    than silently writing misaligned parameters; everything is checked
+    before anything is written, so a rejected checkpoint leaves the live
+    state untouched.  Returns the embedding version the checkpoint was
+    packed with (``meta["model_version"]``), or ``None`` for checkpoints
+    written before live updates existed.
     """
-    if meta.get("num_levels") != len(list(matrices)):
+    matrices = list(matrices)
+    if meta.get("num_levels") != len(matrices):
         raise ArtifactError(
             f"checkpoint has {meta.get('num_levels')} levels, "
-            f"model has {len(list(matrices))}"
+            f"model has {len(matrices)}"
         )
+    writes: List[Tuple[np.ndarray, str]] = []
     for level, matrix in enumerate(matrices):
         key = f"local_{level}"
         if key not in arrays:
@@ -124,24 +129,22 @@ def unpack_state(
                 f"checkpoint array '{key}' has shape {arrays[key].shape}, "
                 f"model expects {matrix.shape}"
             )
-        matrix[...] = arrays[key]
+        writes.append((matrix, key))
+    states = list(adam_states) if adam_states is not None else []
+    counters = meta.get("adam_t")
     if adam_states is not None:
-        counters = meta.get("adam_t")
-        if counters is None or len(counters) != len(list(adam_states)):
+        if counters is None or len(counters) != len(states):
             raise ArtifactError("checkpoint is missing Adam step counters")
-        for level, state in enumerate(adam_states):
+        for level, state in enumerate(states):
             for prefix, target in (("adam_m", state.m), ("adam_v", state.v)):
                 key = f"{prefix}_{level}"
                 if key not in arrays or arrays[key].shape != target.shape:
                     raise ArtifactError(
                         f"checkpoint Adam state '{key}' is missing or misshaped"
                     )
-                target[...] = arrays[key]
-            state.t = int(counters[level])
+                writes.append((target, key))
     raw_version = meta.get("model_version")
-    if raw_version is None:
-        return None
-    if (
+    if raw_version is not None and (
         isinstance(raw_version, bool)
         or not isinstance(raw_version, int)
         or raw_version < 0
@@ -149,7 +152,11 @@ def unpack_state(
         raise ArtifactError(
             f"checkpoint carries invalid model version {raw_version!r}"
         )
-    return int(raw_version)
+    for target, key in writes:
+        target[...] = arrays[key]
+    for level, state in enumerate(states):
+        state.t = int(counters[level])
+    return None if raw_version is None else int(raw_version)
 
 
 def rng_state(rng: np.random.Generator) -> Dict[str, Any]:
@@ -160,6 +167,39 @@ def rng_state(rng: np.random.Generator) -> Dict[str, Any]:
 def restore_rng(rng: np.random.Generator, state: Dict[str, Any]) -> None:
     """Rewind ``rng`` to a snapshot taken with :func:`rng_state`."""
     rng.bit_generator.state = state
+
+
+def rollback_pair(
+    matrices: Sequence[np.ndarray],
+    adam_states: Sequence[Any],
+    rng: np.random.Generator,
+) -> Tuple[Callable[[], Any], Callable[[Any], None]]:
+    """The ``snapshot`` / ``restore`` pair :func:`run_with_recovery` rolls
+    a training stage back with.
+
+    A snapshot copies the embedding matrices, the Adam moments and step
+    counters and the RNG stream position; restoring writes them back in
+    place, so every holder of those arrays sees the rollback.
+    """
+
+    def snapshot() -> Any:
+        return (
+            [m.copy() for m in matrices],
+            [(s.m.copy(), s.v.copy(), s.t) for s in adam_states],
+            rng_state(rng),
+        )
+
+    def restore(snap: Any) -> None:
+        mats, moments, rstate = snap
+        for matrix, saved in zip(matrices, mats):
+            matrix[...] = saved
+        for state, (m, v, t) in zip(adam_states, moments):
+            state.m[...] = m
+            state.v[...] = v
+            state.t = t
+        restore_rng(rng, rstate)
+
+    return snapshot, restore
 
 
 # ----------------------------------------------------------------------

@@ -122,14 +122,16 @@ class TestNaiveArm:
 
 
 class TestNoCoords:
-    def test_finetune_skipped_gracefully(self):
+    @pytest.mark.parametrize("hierarchical", [True, False])
+    def test_finetune_skipped_gracefully(self, hierarchical):
         edges = [(i, i + 1, 1.0) for i in range(30)]
         g = Graph(31, edges)  # no coordinates
         config = RNEConfig(
             d=8, hier_samples_per_level=500, hier_epochs=1,
             vertex_samples=1000, vertex_epochs=2, num_landmarks=8,
-            validation_size=100, seed=0,
+            validation_size=100, hierarchical=hierarchical, seed=0,
         )
         rne = build_rne(g, config)
         assert rne.history.finetune is None
+        assert "after_finetune" not in rne.history.phase_errors
         assert any("fine-tuning skipped" in note for note in rne.history.notes)

@@ -17,6 +17,7 @@ from repro.reliability.checkpoint import (
     pack_state,
     restore_rng,
     rng_state,
+    rollback_pair,
     unpack_state,
 )
 from repro.reliability.faults import corrupt_file
@@ -60,6 +61,34 @@ class TestStatePacking:
         arrays, meta = pack_state([rng.normal(size=(4, 2))])  # no adam saved
         with pytest.raises(ArtifactError, match="Adam"):
             unpack_state(arrays, meta, [np.zeros((4, 2))], [FakeAdam((4, 2))])
+
+    def test_rejected_state_writes_nothing(self, rng):
+        arrays, meta = pack_state([rng.normal(size=(4, 2))])  # no adam saved
+        live = [np.zeros((4, 2))]
+        with pytest.raises(ArtifactError, match="Adam"):
+            unpack_state(arrays, meta, live, [FakeAdam((4, 2))])
+        np.testing.assert_array_equal(live[0], np.zeros((4, 2)))
+
+    def test_rollback_pair_restores_in_place(self, rng):
+        matrices = [rng.normal(size=(4, 2)), rng.normal(size=(3, 2))]
+        adam = [FakeAdam((4, 2), t=3), FakeAdam((3, 2), t=3)]
+        gen = np.random.default_rng(5)
+        snapshot, restore = rollback_pair(matrices, adam, gen)
+        snap = snapshot()
+        before = [m.copy() for m in matrices]
+        expected_draw = gen.normal(size=3)
+        first = matrices[0]
+        matrices[0] += 1.0
+        matrices[1] = np.zeros((3, 2))  # rebound entry, as keep-best does
+        adam[1].m[:] = 9.0
+        adam[1].t = 11
+        restore(snap)
+        assert matrices[0] is first
+        for got, want in zip(matrices, before):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(adam[1].m, np.zeros((3, 2)))
+        assert adam[1].t == 3
+        np.testing.assert_array_equal(gen.normal(size=3), expected_draw)
 
     def test_rng_state_roundtrip_is_json_safe(self):
         import json

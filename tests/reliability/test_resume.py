@@ -1,6 +1,7 @@
 """End-to-end crash/resume tests for the checkpointed build pipeline."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.core import RNE, build_rne
 from repro.reliability import (
     ArtifactError,
+    CheckpointManager,
     FaultInjector,
     InjectedFault,
     installed,
@@ -106,22 +108,65 @@ class TestCheckpointedBuild:
         np.testing.assert_array_equal(resumed.model.matrix, rel_rne.model.matrix)
 
 
+def _assert_resumes_at_every_boundary(graph, config, baseline, tmp_path):
+    """Crash at each checkpoint save in turn; every resume must reproduce
+    ``baseline`` exactly (matrix and phase errors)."""
+    with installed(FaultInjector.recorder()) as inj:
+        build_rne(graph, config, checkpoint_dir=str(tmp_path / "record"))
+    saves = inj.events().count("checkpoint.saved")
+    assert saves >= 2
+    for occurrence in range(1, saves + 1):
+        ckpt = tmp_path / f"crash_{occurrence}"
+        with installed(FaultInjector.crash_on("checkpoint.saved", occurrence)):
+            with pytest.raises(InjectedFault):
+                build_rne(graph, config, checkpoint_dir=str(ckpt))
+        resumed = build_rne(graph, config, checkpoint_dir=str(ckpt), resume=True)
+        assert any("resumed from checkpoint" in n for n in resumed.history.notes)
+        np.testing.assert_array_equal(resumed.model.matrix, baseline.model.matrix)
+        assert resumed.history.phase_errors == baseline.history.phase_errors
+
+
 class TestFlatResume:
     def test_crash_and_resume_flat_build(self, rel_graph, rel_config, tmp_path):
-        from dataclasses import replace
-
         config = replace(rel_config, hierarchical=False)
         baseline = build_rne(rel_graph, config)
-        ckpt = tmp_path / "flat"
-        with installed(FaultInjector.crash_on("checkpoint.saved", 1)):
-            with pytest.raises(InjectedFault):
-                build_rne(rel_graph, config, checkpoint_dir=str(ckpt))
+        _assert_resumes_at_every_boundary(rel_graph, config, baseline, tmp_path)
+
+    def test_flat_checkpoint_without_adam_state_starts_fresh(
+        self, rel_graph, rel_config, tmp_path
+    ):
+        """Flat checkpoints written before the flat arm carried Adam moments
+        are rejected as unusable, and the build equals a fresh one."""
+        config = replace(rel_config, hierarchical=False)
+        baseline = build_rne(rel_graph, config)
+        manager = CheckpointManager(tmp_path, graph=rel_graph)
+        build_rne(rel_graph, config, checkpoint_dir=str(tmp_path))
+        arrays, meta = manager.load("flat")
+        manager.clear()
+        legacy = {k: v for k, v in arrays.items() if not k.startswith("adam_")}
+        meta = {k: v for k, v in meta.items() if k not in ("adam_t", "stage", "step")}
+        manager.save("flat", legacy, meta, step=0)
+
         resumed = build_rne(
-            rel_graph, config, checkpoint_dir=str(ckpt), resume=True
+            rel_graph, config, checkpoint_dir=str(tmp_path), resume=True
         )
-        np.testing.assert_array_equal(
-            resumed.model.matrix, baseline.model.matrix
+        assert any(
+            "checkpoint 'flat' unusable" in n and "starting fresh" in n
+            for n in resumed.history.notes
         )
+        assert not any("resumed from" in n for n in resumed.history.notes)
+        np.testing.assert_array_equal(resumed.model.matrix, baseline.model.matrix)
+        assert resumed.history.phase_errors == baseline.history.phase_errors
+
+
+class TestNoJointResume:
+    def test_crash_and_resume_without_joint_stage(
+        self, rel_graph, rel_config, tmp_path
+    ):
+        config = replace(rel_config, joint_epochs=0)
+        baseline = build_rne(rel_graph, config)
+        assert "after_joint" not in baseline.history.phase_errors
+        _assert_resumes_at_every_boundary(rel_graph, config, baseline, tmp_path)
 
 
 class TestSavedRneValidation:
