@@ -90,7 +90,7 @@ def _run_train(argv: list[str]) -> int:
     parser.add_argument(
         "--no-prefetch",
         action="store_true",
-        help="disable overlapping sample labelling with SGD epochs",
+        help="label samples synchronously instead of on a background thread",
     )
     args = parser.parse_args(argv)
 

@@ -110,10 +110,11 @@ class RNEConfig:
     lr: float = 0.02
     batch_size: int = 2048
     # data pipeline: `workers=None` defers to the REPRO_WORKERS environment
-    # variable (default serial); `prefetch` overlaps phase-(k+1) sample
-    # labelling with phase-k SGD epochs.  Neither affects trained values:
-    # sampling uses per-stage RNG streams and the parallel labeler is
-    # bit-identical to the serial one.
+    # variable (default serial); `prefetch` labels phase k+1 on a background
+    # thread while phase k trains.  scipy's Dijkstra holds the GIL, so the
+    # two threads take turns and labelling is not hidden behind SGD.
+    # Neither affects trained values: sampling uses per-stage RNG streams
+    # and the parallel labeler is bit-identical to the serial one.
     workers: int | None = None
     prefetch: bool = True
     # evaluation
@@ -318,9 +319,10 @@ def build_rne(
     reduced learning rate (see :mod:`repro.reliability.checkpoint`).
 
     ``config.workers`` fans ground-truth labelling over a process pool and
-    ``config.prefetch`` overlaps each phase's sample labelling with the
-    previous phase's SGD epochs (see :mod:`repro.parallel`); both are pure
-    speed knobs — the trained embedding is bit-identical for any setting.
+    ``config.prefetch`` labels each phase's samples on a background thread
+    during the previous phase's SGD epochs (see :mod:`repro.parallel`; the
+    labelling kernel holds the GIL, so this does not hide its cost).  The
+    trained embedding is bit-identical for any setting of either.
     """
     if config is None:
         config = RNEConfig()
@@ -610,7 +612,7 @@ def _run_stages(
 
     # Every pending step's samples are queued on the prefetch pipeline:
     # each job draws from its own per-stage RNG stream, so step-(k+1)
-    # labelling can overlap step-k SGD epochs on the main RNG and stay
+    # labelling can run during step-k SGD epochs on the main RNG and stay
     # bit-identical to the synchronous order.
     prefetch = PrefetchPipeline(enabled=config.prefetch)
     for stage in stages[done + 1 :]:

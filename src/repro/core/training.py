@@ -36,6 +36,7 @@ from typing import Callable, Iterator, Optional
 EpochHook = Callable[[int, float, float], None]
 
 import numpy as np
+from scipy import sparse
 
 from ..devtools.contracts import shapes
 from .hierarchical import HierarchicalRNE
@@ -57,8 +58,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
@@ -145,46 +146,43 @@ def _pair_gradient(
     return grad, resid, pred
 
 
-def _scatter_rows(
-    ls: np.ndarray, lt: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segment-sum ``+grad`` onto rows ``ls`` and ``-grad`` onto rows ``lt``.
+def _scatter_levels(
+    rows_s: np.ndarray, rows_t: np.ndarray, grad: np.ndarray, offsets: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Segment-sum ``+grad`` onto rows ``rows_s`` and ``-grad`` onto ``rows_t``.
 
-    Returns the sorted unique touched rows and their summed gradients.
-    ``np.bincount`` adds into each output cell in input order starting from
-    0.0 — the order ``np.add.at`` uses — so stacking ``[grad; -grad]`` keeps
-    the result bit-identical to scattering ``grad`` then ``-grad`` (see
-    docs/TRAINING.md, "SGD step kernel").
+    Column ``l`` of the ``(k, L)`` row arrays holds level ``l``'s rows;
+    ``offsets`` (``L + 1`` entries) are the cumulative level sizes, which
+    put every level's rows into one id space so that one sparse product
+    covers all levels.  Returns, per level, its sorted unique touched rows
+    and their summed gradients.
+
+    The product is a CSC matrix with one column per row of the stacked
+    ``[grad; -grad]`` and one 1.0 per level in each column.  scipy's
+    ``csc_matvecs`` walks the columns in input order and adds into a zeroed
+    output, the order ``np.add.at`` uses, so every level's sums are
+    bit-identical to scattering ``grad`` then ``-grad`` one level at a
+    time (see docs/TRAINING.md, "SGD step kernel").
     """
-    rows, inv = np.unique(np.concatenate([ls, lt]), return_inverse=True)
-    signed = np.concatenate([grad, -grad])
-    full = np.empty((rows.size, grad.shape[1]), dtype=np.float64)
-    # perf: loop-ok (one bincount per embedding dimension)
-    for j in range(grad.shape[1]):
-        full[:, j] = np.bincount(inv, weights=signed[:, j], minlength=rows.size)
-    return rows, full
-
-
-def _step(
-    matrix: np.ndarray,
-    adam: Optional[_Adam],
-    ls: np.ndarray,
-    lt: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-) -> None:
-    """One batch update of ``matrix`` from per-pair gradients wrt ``v_s``.
-
-    The batch-mean gradient reaches row ``ls[i]`` with ``+grad[i]`` and row
-    ``lt[i]`` with ``-grad[i]``; only the touched rows move (lazy Adam, or
-    plain SGD when ``adam`` is None).
-    """
-    rows, full = _scatter_rows(ls, lt, grad)
-    full /= len(grad)
-    if adam is not None:
-        matrix[rows] += adam.step_rows(rows, full, lr)  # mutation-ok (documented in-place training)
-    else:
-        matrix[rows] -= lr * full  # mutation-ok (documented in-place training)
+    k, levels = rows_s.shape
+    ids = (np.concatenate([rows_s, rows_t]) + offsets[:-1]).ravel()
+    touched = np.bincount(ids, minlength=offsets[-1]) > 0
+    compact = np.cumsum(touched) - 1
+    rows = np.flatnonzero(touched)
+    scatter = sparse.csc_matrix(
+        (
+            np.ones(ids.size, dtype=np.float64),
+            compact[ids],
+            np.arange(0, ids.size + 1, levels),
+        ),
+        shape=(rows.size, 2 * k),
+    )
+    full = scatter @ np.concatenate([grad, -grad])
+    bounds = np.searchsorted(rows, offsets)
+    return [
+        (rows[bounds[l] : bounds[l + 1]] - offsets[l], full[bounds[l] : bounds[l + 1]])
+        for l in range(levels)
+    ]
 
 
 @shapes(pairs="(k,2):int", phi="(k,):float:finite")
@@ -261,6 +259,7 @@ def train_hierarchical(
 
     anc = hmodel.anc_rows
     active = [l for l in range(hmodel.num_levels) if level_lrs[l] > 0]
+    offsets = np.cumsum([0] + [hmodel.locals[l].shape[0] for l in active], dtype=np.int64)
 
     for epoch in range(config.epochs):
         sq_sum = 0.0
@@ -279,15 +278,17 @@ def train_hierarchical(
             grad, resid, _ = _pair_gradient(vs, vt, phi[batch], hmodel.p)
             sq_sum += float(np.square(resid).sum())
             rel_sum += float((np.abs(resid) / np.maximum(phi[batch], 1e-12)).sum())
-            for level in active:
-                _step(
-                    hmodel.locals[level],
-                    states[level],
-                    rows_s[:, level],
-                    rows_t[:, level],
-                    grad,
-                    config.lr * level_lrs[level] * scale,
-                )
+            if not active:
+                continue
+            scattered = _scatter_levels(rows_s[:, active], rows_t[:, active], grad, offsets)
+            for level, (rows, full) in zip(active, scattered):
+                full /= len(batch)
+                lr = config.lr * level_lrs[level] * scale
+                adam = states[level]
+                if adam is not None:
+                    hmodel.locals[level][rows] += adam.step_rows(rows, full, lr)  # mutation-ok (documented in-place training)
+                else:
+                    hmodel.locals[level][rows] -= lr * full  # mutation-ok (documented in-place training)
         result.mse.append(sq_sum / len(pairs))
         result.mean_rel_error.append(rel_sum / len(pairs))
         if on_epoch is not None:

@@ -11,7 +11,8 @@ without giving up determinism:
   routing SSSP through the pool, falling back to the serial kernel when
   ``workers <= 1`` or multiprocessing is unavailable.
 * :class:`PrefetchPipeline` — ordered background execution of per-phase
-  sample jobs so phase-(k+1) labelling overlaps phase-k SGD epochs.
+  sample jobs, one phase ahead of training (the labelling kernel holds
+  the GIL, so this takes turns with SGD rather than hiding labelling).
 * :func:`resolve_workers` — one place that maps ``--workers`` /
   ``REPRO_WORKERS`` / defaults to an effective worker count.
 """

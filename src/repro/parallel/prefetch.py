@@ -1,10 +1,13 @@
-"""Prefetching sample pipeline: overlap labelling with SGD epochs.
+"""Prefetching sample pipeline: label the next phase on a background thread.
 
-``build_rne`` consumes labelled training sets phase by phase.  With a
-serial pipeline the trainer idles while phase k+1's samples are drawn and
-labelled; :class:`PrefetchPipeline` runs those jobs one step ahead on a
-background thread, so phase-(k+1) sample generation + labelling overlaps
-phase-k SGD epochs.
+``build_rne`` consumes labelled training sets phase by phase.
+:class:`PrefetchPipeline` runs those jobs one step ahead on a background
+thread, concurrently with phase-k SGD epochs.  This does not hide the
+labelling cost: ``scipy.sparse.csgraph.dijkstra`` holds the GIL while it
+runs, so the background thread and the training thread take turns on the
+interpreter instead of overlapping (on a 2-vCPU host a Dijkstra thread
+slowed a main-thread scatter loop 2x or more, and default 60x60 builds
+took as long with prefetch on as off, within noise).
 
 Determinism is preserved by construction, not by luck: each job owns its
 own seeded RNG stream (derived from the run seed and the stage name, see
@@ -38,8 +41,9 @@ class PrefetchPipeline:
         tolerate a helper thread.  Results are identical either way.
     lookahead:
         How many jobs may complete ahead of consumption.  The default of 1
-        gives the intended overlap (label phase k+1 while phase k trains)
-        without holding more than one phase's samples in memory.
+        labels phase k+1 while phase k trains (concurrently, not in
+        parallel: see the module docstring) without holding more than one
+        phase's samples in memory.
     """
 
     def __init__(self, *, enabled: bool = True, lookahead: int = 1) -> None:

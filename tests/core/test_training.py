@@ -16,7 +16,7 @@ from repro.core import (
     vertex_only_schedule,
 )
 from repro.core import training
-from repro.core.training import _Adam, _scatter_rows, new_adam_states
+from repro.core.training import _Adam, _scatter_levels, new_adam_states
 from repro.graph import PartitionHierarchy
 
 
@@ -27,6 +27,14 @@ def _reference_scatter(ls, lt, grad):
     np.add.at(full, np.searchsorted(rows, ls), grad)
     np.add.at(full, np.searchsorted(rows, lt), -grad)
     return rows, full
+
+
+def _reference_scatter_levels(rows_s, rows_t, grad, offsets):
+    """Reference multi-level scatter: one ``_reference_scatter`` per level."""
+    return [
+        _reference_scatter(rows_s[:, l], rows_t[:, l], grad)
+        for l in range(rows_s.shape[1])
+    ]
 
 
 def _reference_step_rows(self, rows, grad_rows, lr):
@@ -57,26 +65,33 @@ def _kernel_config(optimizer):
     return TrainConfig(epochs=2, optimizer=optimizer, lr=0.02 if optimizer == "adam" else 0.002)
 
 
-def _scatter_case(name):
+def _scatter_case(name, levels):
+    """Per-level ``(k, levels)`` rows, their gradients and level offsets.
+
+    Level ``l`` draws rows below ``ranges[l]`` from a table twice that
+    size, so the top row is free for the row reached only by ``-0.0``.
+    """
     rng = np.random.default_rng(3)
     k, d = 300, 8
-    ls = rng.integers(0, 50, k)
-    lt = rng.integers(0, 50, k)
+    ranges = np.array([50, 3, 12, 1, 200][:levels])
+    ls = np.stack([rng.integers(0, r, k) for r in ranges], axis=1)
+    lt = np.stack([rng.integers(0, r, k) for r in ranges], axis=1)
     if name == "s_equals_t":
         lt = ls.copy()
     elif name == "one_row":
-        ls = np.full(k, 7)
-        lt = np.full(k, 7)
+        ls = np.zeros((k, levels), dtype=np.int64) + ranges - 1
+        lt = ls.copy()
     elif name == "batch_of_one":
         ls, lt = ls[:1], lt[:1]
     elif name == "d_one":
         d = 1
-    grad = rng.standard_normal((ls.size, d))
+    grad = rng.standard_normal((ls.shape[0], d))
     if name == "negative_zero":
         grad[rng.random(grad.shape) < 0.3] = -0.0
         grad[0] = -0.0
-        ls[0] = 99  # a row reached only by -0.0
-    return ls, lt, grad
+        ls[0] = 2 * ranges - 1  # a row per level reached only by -0.0
+    offsets = np.concatenate([[0], np.cumsum(2 * ranges)])
+    return ls, lt, grad, offsets
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +113,8 @@ class TestConfig:
             {"batch_size": 0},
             {"lr": 0.0},
             {"optimizer": "sgd2"},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -111,11 +128,14 @@ class TestStepKernel:
         ["random", "s_equals_t", "one_row", "batch_of_one", "d_one", "negative_zero"],
     )
     def test_scatter_matches_reference(self, case):
-        ls, lt, grad = _scatter_case(case)
-        rows, full = _scatter_rows(ls, lt, grad)
-        ref_rows, ref_full = _reference_scatter(ls, lt, grad)
-        _assert_identical(rows, ref_rows)
-        _assert_identical(full, ref_full)
+        for levels in (1, 2, 5):
+            ls, lt, grad, offsets = _scatter_case(case, levels)
+            scattered = _scatter_levels(ls, lt, grad, offsets)
+            assert len(scattered) == levels
+            for l, (rows, full) in enumerate(scattered):
+                ref_rows, ref_full = _reference_scatter(ls[:, l], lt[:, l], grad)
+                _assert_identical(rows, ref_rows)
+                _assert_identical(full, ref_full)
 
     def test_adam_step_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -132,7 +152,7 @@ class TestStepKernel:
 
     @staticmethod
     def _patch_reference(monkeypatch):
-        monkeypatch.setattr(training, "_scatter_rows", _reference_scatter)
+        monkeypatch.setattr(training, "_scatter_levels", _reference_scatter_levels)
         monkeypatch.setattr(training._Adam, "step_rows", _reference_step_rows)
 
     @staticmethod
@@ -173,25 +193,42 @@ class TestStepKernel:
         pairs, phi = labelled
         hierarchy = PartitionHierarchy(medium_grid, fanout=4, leaf_size=16, seed=0)
         config = _kernel_config(optimizer)
-        runs = []
-        for use_reference in (False, True):
-            with pytest.MonkeyPatch.context() as mp:
-                if use_reference:
-                    self._patch_reference(mp)
-                hmodel = HierarchicalRNE(hierarchy, d=8, init_scale=1.0, seed=0)
-                lrs = level_schedule(1, hmodel.num_levels)
-                lrs[0] = 0.0
-                states = new_adam_states(hmodel)
-                train_hierarchical(
-                    hmodel, pairs[:3000], phi[:3000], lrs, config, rng=7,
-                    adam_states=states,
-                )
-            runs.append((hmodel.locals, states))
-        (locals_a, states_a), (locals_b, states_b) = runs
-        for a, b in zip(locals_a, locals_b):
-            _assert_identical(a, b)
-        for fused, reference in zip(states_a, states_b):
-            _assert_same_adam(fused, reference)
+        num_levels = hierarchy.num_levels
+        initial = HierarchicalRNE(hierarchy, d=8, init_scale=1.0, seed=0).locals
+        focused = level_schedule(1, num_levels)
+        focused[0] = 0.0
+        middle_zero = np.ones(num_levels)
+        middle_zero[1] = 0.0
+        schedules = {
+            "focused": focused,
+            "middle_zero": middle_zero,
+            "vertex_only": vertex_only_schedule(num_levels),
+            "all_zero": np.zeros(num_levels),
+        }
+        for name, lrs in schedules.items():
+            runs = []
+            for use_reference in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    if use_reference:
+                        self._patch_reference(mp)
+                    hmodel = HierarchicalRNE(hierarchy, d=8, init_scale=1.0, seed=0)
+                    states = new_adam_states(hmodel)
+                    train_hierarchical(
+                        hmodel, pairs[:3000], phi[:3000], lrs, config, rng=7,
+                        adam_states=states,
+                    )
+                runs.append((hmodel.locals, states))
+            (locals_a, states_a), (locals_b, states_b) = runs
+            for a, b in zip(locals_a, locals_b):
+                _assert_identical(a, b)
+            for fused, reference in zip(states_a, states_b):
+                _assert_same_adam(fused, reference)
+            if name == "all_zero":
+                for matrix, before, state in zip(locals_a, initial, states_a):
+                    _assert_identical(matrix, before)
+                    _assert_identical(state.m, np.zeros_like(before))
+                    _assert_identical(state.v, np.zeros_like(before))
+                    assert state.t == 0
 
 
 class TestSchedules:
