@@ -32,7 +32,7 @@ def knn_true(graph: Graph, source: int, targets: np.ndarray, k: int) -> np.ndarr
     distance) when the first of them pops, so the heap's ``(d, id)`` tuple
     comparison yields ascending ``(distance, vertex id)`` output.  Returns
     ``min(k, #reachable unique targets)`` results — fewer than ``k`` when
-    the heap drains first — matching ``EmbeddingTreeIndex.knn_query``.
+    the heap drains first — matching ``RNE.knn``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -42,7 +42,6 @@ from ..core import (
     validation_set,
     vertex_only_schedule,
 )
-from ..core.index import EmbeddingTreeIndex
 from ..core.training import new_adam_states
 from ..algorithms.landmarks import select_landmarks
 from ..graph import Graph, PartitionHierarchy, delaunay_country, multi_city, radial_city
@@ -589,9 +588,6 @@ def fig16_range_knn(
     )
     rne_built = get_method(dataset, "rne", fast=fast)
     rne = rne_built.impl
-    index = rne.index if rne.index is not None else EmbeddingTreeIndex(
-        rne.hierarchy, rne.model.matrix, rne.model.p
-    )
     gtree = GTreeIndex(graph, num_cells=8 if fast else 16, seed=1)
     euclid = GeometricEstimator(graph, "euclidean")
     manhattan = GeometricEstimator(graph, "manhattan")
@@ -601,7 +597,7 @@ def fig16_range_knn(
     taus = [f * diameter for f in tau_fractions]
 
     range_methods = {
-        "RNE": index.range_query,
+        "RNE": rne.range_query,
         "G-tree": gtree.range_query,
         "Oracle": lambda s, targets, tau: np.array(
             [t for t in targets if oracle.query(int(s), int(t)) <= tau], dtype=np.int64
@@ -630,7 +626,7 @@ def fig16_range_knn(
     from ..algorithms.knn import knn_true
 
     knn_methods = {
-        "RNE": index.knn_query,
+        "RNE": rne.knn,
         "G-tree": gtree.knn,
         "Euclidean": euclid.knn,
         "Manhattan": manhattan.knn,
@@ -721,12 +717,6 @@ def fig17_error_vs_distance(
     return {"bounds": bounds, "rel": rel, "abs": abs_, "report": "\n\n".join(lines)}
 
 
-def _serving_runner(**kw) -> str:
-    from .serving import serving_benchmark
-
-    return serving_benchmark(**kw)["report"]
-
-
 def _labeling_runner(**kw) -> str:
     from .labeling import labeling_benchmark
 
@@ -762,7 +752,6 @@ EXPERIMENTS = {
     "fig15": lambda **kw: fig15_error_cdf(**kw)["report"],
     "fig16": lambda **kw: fig16_range_knn(**kw)["report"],
     "fig17": lambda **kw: fig17_error_vs_distance(**kw)["report"],
-    "serving": lambda **kw: _serving_runner(**kw),
     "labeling": lambda **kw: _labeling_runner(**kw),
     "updates": lambda **kw: _updates_runner(**kw),
     "ablate-joint": _ablation_runner("ablate_joint_pass"),

@@ -164,7 +164,7 @@ def updates_benchmark(
             "affected_vertices": stats.affected_vertices,
             "changed_rows": stats.changed_rows,
             "index_nodes_refreshed": stats.index_nodes_refreshed,
-            "index_nodes_total": int(index.node_radii.size),
+            "index_nodes_total": int(index.snapshot.radii.size),
             "engine_invalidations": stats.engine_invalidations,
             "mean_rel_error": updated_err,
         },

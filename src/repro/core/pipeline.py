@@ -49,9 +49,15 @@ from ..reliability.checkpoint import (
 )
 from .finetune import FinetuneResult, active_finetune
 from .hierarchical import HierarchicalRNE
-from .index import EmbeddingTreeIndex
+from .index import (
+    EmbeddingTreeIndex,
+    PreparedTargets,
+    ServingSnapshot,
+    knn_frontier,
+    range_frontier,
+)
 from .metrics import ErrorReport, error_report
-from .model import RNEModel, _topk_rows, lp_distance
+from .model import RNEModel
 from .sampling import (
     DistanceLabeler,
     GridBuckets,
@@ -166,7 +172,7 @@ class RNE:
         #: update (see :mod:`repro.live`) and persisted with the artifact.
         self.version = int(version)
         self.index = (
-            EmbeddingTreeIndex(hierarchy, model.matrix, model.p)
+            EmbeddingTreeIndex(hierarchy, model.matrix, model.p, version=self.version)
             if hierarchy is not None
             else None
         )
@@ -180,47 +186,47 @@ class RNE:
         return self.model.query_pairs(pairs)
 
     # -- spatial queries ---------------------------------------------------
+    # All three run the index's batched kernels (a brute scan of every
+    # target without an index) on one snapshot, and obey the shared
+    # contract: ascending ``(distance, id)`` kNN order with
+    # ``min(k, #unique targets)`` results, ascending sorted range ids.
     def knn(self, source: int, targets: np.ndarray, k: int) -> np.ndarray:
-        """k nearest targets via the tree index (brute scan without one).
-
-        Both paths obey the shared contract: ascending ``(distance, id)``
-        order, ``min(k, #unique targets)`` results.
-        """
-        if self.index is not None:
-            return self.index.knn_query(source, targets, k)
-        return self.model.knn_brute(source, targets, k)
+        """k nearest targets of ``source`` by embedding distance."""
+        row: np.ndarray = self.knn_join(np.array([source], dtype=np.int64), targets, k)[0]
+        return row
 
     def range_query(self, source: int, targets: np.ndarray, tau: float) -> np.ndarray:
         """Targets within embedding distance ``tau`` (ascending sorted ids)."""
-        if self.index is not None:
-            return self.index.range_query(source, targets, tau)
-        targets = np.unique(np.asarray(targets, dtype=np.int64))
-        dists = self.model.distances_from(source, targets)
-        return targets[dists <= tau]
+        if not tau >= 0:  # also rejects NaN
+            raise ValueError(f"tau must be >= 0, got {tau}")
+        snap, prepared = self._serving(targets)
+        sources = np.array([source], dtype=np.int64)
+        return range_frontier(snap, prepared, sources, tau, self.model.p, self.index)[0]
 
     def knn_join(self, sources: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
         """k nearest targets for *every* source — the paper's Uber workload.
 
-        Returns a ``(len(sources), min(k, #unique targets))`` id array, each
-        row in ascending ``(distance, id)`` order per the shared kNN
-        contract (duplicate targets count once).  Vectorised over the full
-        source x target distance matrix in chunks, so a 10k x 1k join is a
-        handful of numpy ops rather than 10M scalar queries.
+        Returns a ``(len(sources), min(k, #unique targets))`` id array, one
+        row per source (duplicate targets count once).
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         sources = np.asarray(sources, dtype=np.int64)
-        targets = np.unique(np.asarray(targets, dtype=np.int64))
-        k_eff = min(k, targets.size)
-        out = np.empty((sources.size, k_eff), dtype=np.int64)
-        t_vecs = self.model.matrix[targets]
-        chunk = max(1, 2_000_000 // max(targets.size, 1))
-        for start in range(0, sources.size, chunk):
-            block = sources[start : start + chunk]
-            diff = self.model.matrix[block][:, None, :] - t_vecs[None, :, :]
-            dists = lp_distance(diff, self.model.p)
-            out[start : start + chunk] = _topk_rows(dists, targets, k_eff)
+        snap, prepared = self._serving(targets)
+        out = np.empty((sources.size, min(k, prepared.m)), dtype=np.int64)
+        if out.size:
+            out[:] = knn_frontier(
+                snap, prepared, sources, out.shape[1], self.model.p, self.index
+            )
         return out
+
+    def _serving(self, targets: np.ndarray) -> tuple[ServingSnapshot, PreparedTargets]:
+        """The published snapshot and the prepared target set for one call."""
+        ids = np.asarray(targets, dtype=np.int64)
+        if self.index is None:
+            snap = ServingSnapshot.of_matrix(self.version, self.model.matrix)
+            return snap, PreparedTargets.flat(self.model.n, ids)
+        return self.index.snapshot, self.index.prepare(ids)
 
     # -- persistence -------------------------------------------------------
     def save(self, path: str) -> None:

@@ -268,8 +268,8 @@ def expected_entry_points() -> Dict[str, Sequence[str]]:
         "repro/core/training.py": ("train_flat", "train_hierarchical"),
         "repro/core/finetune.py": ("active_finetune",),
         "repro/core/index.py": (
-            "EmbeddingTreeIndex.range_query",
-            "EmbeddingTreeIndex.knn_query",
+            "EmbeddingTreeIndex.prepare",
+            "EmbeddingTreeIndex.refresh_rows",
         ),
         "repro/core/hierarchical.py": (
             "HierarchicalRNE.global_vectors",

@@ -15,10 +15,14 @@ place a version ever advances.  An update is:
 1. **retrain** on a private copy of the vertex level
    (:func:`repro.core.update.update_rne` — the serving model is untouched
    and fully queryable throughout);
-2. **publish** — one reference swap of the model matrix, a subtree-local
-   radius refresh of the tree index
-   (:meth:`~repro.core.index.EmbeddingTreeIndex.refresh_rows`, bit-identical
-   to a full rebuild), and a version bump;
+2. **publish** — the tree index builds the next version's
+   :class:`~repro.core.index.ServingSnapshot` off to the side (rows plus a
+   subtree-local centre/radius refresh,
+   :meth:`~repro.core.index.EmbeddingTreeIndex.refresh_rows`, bit-identical
+   to a full rebuild) and publishes it with one reference assignment;
+   engines read every batch from one snapshot, so they answer at the old
+   or the new version, never a mix.  The RNE's model matrix and version
+   then follow for its own ``query``/``save``;
 3. **invalidate** — every attached engine adopts the new version (stale
    hot rows become unreachable by key construction and are purged), every
    attached oracle re-binds the new graph, drops SSSP trees when the road
@@ -204,8 +208,9 @@ class LiveUpdateManager:
     engines:
         :class:`~repro.serving.engine.BatchQueryEngine` instances serving
         this RNE; more can be attached later.  Each must already share the
-        RNE's model object — the manager publishes by rebinding
-        ``model.matrix``, which only reaches engines holding that object.
+        RNE's model object and tree index — the manager publishes through
+        the index's snapshot, which only reaches engines holding that
+        index.
     oracles:
         :class:`~repro.reliability.fallback.ResilientOracle` instances
         serving this RNE (same sharing requirement).
@@ -242,10 +247,12 @@ class LiveUpdateManager:
     # ------------------------------------------------------------------
     def attach_engine(self, engine: BatchQueryEngine) -> BatchQueryEngine:
         """Register an engine for invalidation on every future update."""
-        if engine.model is not None and engine.model is not self.rne.model:
+        if engine.model is not None and (
+            engine.model is not self.rne.model or engine.index is not self.rne.index
+        ):
             raise ValueError(
-                "engine serves a different model object; live publishes "
-                "would never reach it"
+                "engine serves a different model object or index; live "
+                "publishes would never reach it"
             )
         if engine.version > self.rne.version:
             raise ValueError(
@@ -282,9 +289,9 @@ class LiveUpdateManager:
         """Run one full live update; returns its :class:`UpdateStats`.
 
         Serving stays available the whole time: retraining happens on a
-        private copy, and the publish step is a handful of reference
-        swaps plus a subtree-local index refresh (milliseconds, measured
-        as ``swap_seconds``).
+        private copy, and the publish step is a subtree-local index
+        refresh ending in one snapshot swap (milliseconds, measured as
+        ``swap_seconds``).
         """
         total_start = time.perf_counter()
         stats = UpdateStats(
@@ -329,10 +336,8 @@ class LiveUpdateManager:
             stats.index_nodes_refreshed = index.refresh_rows(
                 new_matrix, result.changed_rows
             )
-            # Reference swaps, atomic under the GIL: engines share this
-            # model object, so they observe old or new, never a torn mix.
             self.rne.model.matrix = new_matrix
-            self.rne.version += 1
+            self.rne.version = index.snapshot.version
             stats.version_after = int(self.rne.version)
         if stats.graph_changed:
             self.rne.graph = new_graph

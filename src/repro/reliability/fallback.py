@@ -32,7 +32,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..algorithms.dijkstra import bidirectional_dijkstra, pair_distances
+from ..algorithms.dijkstra import pair_distances
 from ..core.index import PreparedTargets
 from ..core.pipeline import RNE
 from ..graph import Graph
@@ -225,12 +225,8 @@ class ResilientOracle:
     # queries — learned when healthy, exact otherwise
     # ------------------------------------------------------------------
     def query(self, s: int, t: int) -> float:
-        """Point-to-point distance; exact bidirectional Dijkstra on fallback."""
-        if self.rne is not None:
-            self.stats.model_queries += 1
-            return self.rne.query(s, t)
-        self.stats.fallback_queries += 1
-        return bidirectional_dijkstra(self.graph, int(s), int(t))
+        """Point-to-point distance; exact cached-SSSP serving on fallback."""
+        return float(self.query_pairs(np.array([[s, t]], dtype=np.int64))[0])
 
     def query_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Batched distances; exact cached-SSSP serving on fallback."""
@@ -256,12 +252,7 @@ class ResilientOracle:
         Exact network distances on fallback; both modes follow the shared
         range contract (sorted ids, duplicates deduplicated).
         """
-        one = np.array([source], dtype=np.int64)
-        if self.rne is not None:
-            self.stats.model_queries += 1
-            return self.engine.range_query(one, targets, tau)[0]
-        self.stats.fallback_queries += 1
-        return self.engine.exact_range(one, targets, tau)[0]
+        return self.range_batch(np.array([source], dtype=np.int64), targets, tau)[0]
 
     def knn(
         self,
@@ -275,12 +266,7 @@ class ResilientOracle:
         ``(distance, id)`` order, ``min(k, #unique targets)`` results (the
         exact path additionally excludes unreachable targets).
         """
-        one = np.array([source], dtype=np.int64)
-        if self.rne is not None:
-            self.stats.model_queries += 1
-            return self.engine.knn(one, targets, k)[0]
-        self.stats.fallback_queries += 1
-        return self.engine.exact_knn(one, targets, k)[0]
+        return self.knn_batch(np.array([source], dtype=np.int64), targets, k)[0]
 
     def knn_batch(
         self,

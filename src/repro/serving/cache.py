@@ -10,10 +10,17 @@ The engine caches two kinds of per-source state (see ``docs/SERVING.md``):
 Both are keyed by small tuples and hold numpy arrays; eviction is strict
 least-recently-used.  Counters are exposed so the observability layer can
 report hit rates per cache.
+
+Every operation holds the cache's re-entrant ``lock``: a live update
+purges from the writer thread while readers look up and touch entries,
+and an ``OrderedDict`` lookup followed by ``move_to_end`` (or a purge
+iterating the entries) is not atomic under the GIL.  Uncontended, the
+lock costs well under a microsecond per operation.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, Optional
 
@@ -44,6 +51,9 @@ class LRUCache:
         self.evictions = 0
         self.invalidations = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+        #: Guards entries and counters; callers may hold it around several
+        #: operations (and state of their own) to make them one step.
+        self.lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -54,29 +64,32 @@ class LRUCache:
 
     def get(self, key: Hashable) -> Optional[Any]:
         """Return the cached value (marking it most recent) or ``None``."""
-        value = self._data.get(key, _MISSING)
-        if value is _MISSING:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._data.move_to_end(key)
-        return value
+        with self.lock:
+            value = self._data.get(key, _MISSING)
+            if value is _MISSING:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self._data.move_to_end(key)
+            return value
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/update an entry, evicting the least recent beyond capacity."""
         if self.capacity == 0:
             return
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self.evictions += 1
+        with self.lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+            self._data[key] = value
+            while len(self._data) > self.capacity:
+                self._data.popitem(last=False)
+                self.evictions += 1
 
     def clear(self) -> None:
         """Drop all entries; counters are preserved."""
-        self.invalidations += len(self._data)
-        self._data.clear()
+        with self.lock:
+            self.invalidations += len(self._data)
+            self._data.clear()
 
     def purge(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``.
@@ -87,11 +100,12 @@ class LRUCache:
         of entries dropped; they count as *invalidations*, not evictions —
         capacity pressure and staleness are different signals.
         """
-        stale = [key for key in self._data if predicate(key)]
-        for key in stale:
-            del self._data[key]
-        self.invalidations += len(stale)
-        return len(stale)
+        with self.lock:
+            stale = [key for key in self._data if predicate(key)]
+            for key in stale:
+                del self._data[key]
+            self.invalidations += len(stale)
+            return len(stale)
 
     @property
     def hit_rate(self) -> float:
@@ -100,15 +114,16 @@ class LRUCache:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe view of the cache's counters and occupancy."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-            "size": len(self._data),
-            "capacity": self.capacity,
-        }
+        with self.lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "invalidations": self.invalidations,
+                "hit_rate": self.hit_rate,
+                "size": len(self._data),
+                "capacity": self.capacity,
+            }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,25 +7,23 @@ single numpy passes instead of per-query Python loops:
 * ``distances`` — a ``(B, 2)`` pair batch is one fancy-index + one Lp
   reduction.
 * ``knn`` / ``range_query`` — many sources against one
-  :class:`~repro.core.index.PreparedTargets` set via *array-wide frontier
-  expansion*: bounds for every (source, tree-node) pair in the live
-  frontier are computed in one vectorised pass per tree level (range) or
-  one leaf-bound matrix (kNN), then candidate member distances are
-  gathered flat and split per source.
+  :class:`~repro.core.index.PreparedTargets` set through the index's
+  batched frontier kernels (:func:`~repro.core.index.knn_frontier`,
+  :func:`~repro.core.index.range_frontier`), the repo's one kNN/range
+  path.
 * ``exact_*`` — ground-truth serving for degraded mode, amortising one
   cached SSSP tree per distinct source.
 
-Batched kNN/range results are **bit-identical** to the per-query
-``knn_prepared`` / ``range_prepared`` paths: per-row Lp reductions are
-bitwise deterministic, candidate sets are provable supersets of the
-answers, and the shared ``(distance, id)`` / sorted-ids ordering contract
-resolves ties identically (property-tested in ``tests/serving``).
+Every learned batch loads the index's published
+:class:`~repro.core.index.ServingSnapshot` once and takes rows, centres
+and radii from it, so a live update that publishes mid-batch cannot mix
+two versions into one answer.
 
 Caching: an LRU of *hot rows* — full embedding-distance rows from a source
-to a prepared target set, promoted once a source repeats — lets repeated
-sources skip the frontier entirely; an LRU of *SSSP trees* does the same
-for exact serving.  All operations record latency/throughput into a
-:class:`~repro.serving.stats.ServingStats`.
+to a prepared target set, keyed by the snapshot's version and promoted
+once a source repeats — lets repeated sources skip the frontier entirely;
+an LRU of *SSSP trees* does the same for exact serving.  All operations
+record latency/throughput into a :class:`~repro.serving.stats.ServingStats`.
 """
 
 from __future__ import annotations
@@ -36,7 +34,15 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..algorithms.dijkstra import sssp_many
-from ..core.index import EmbeddingTreeIndex, PreparedTargets
+from ..core.index import (
+    _CHUNK_ELEMS,
+    EmbeddingTreeIndex,
+    PreparedTargets,
+    ServingSnapshot,
+    full_rows,
+    knn_frontier,
+    range_frontier,
+)
 from ..core.model import RNEModel, _topk_rows, lp_distance
 from ..devtools.contracts import shapes
 from ..graph import Graph
@@ -47,28 +53,6 @@ __all__ = ["BatchQueryEngine"]
 
 Targets = Union[np.ndarray, PreparedTargets]
 
-#: Element budget for (sources x nodes x d) bound tensors; chunks the
-#: source axis so batched frontiers never materialise huge intermediates.
-_CHUNK_ELEMS = 4_000_000
-
-#: Float-safety margin on kNN pruning radii: inflating the cut-off only
-#: *adds* candidates (final selection is by actual member distances), so a
-#: tiny slack absorbs Lp rounding without ever changing results.
-_UB_SLACK = 1e-9
-
-
-def _flat_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices ``[s0, s0+1, ..., s0+c0-1, s1, ...]`` for ragged gathers."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_starts, counts)
-        + np.repeat(starts, counts)
-    )
-
 
 class BatchQueryEngine:
     """Vectorised batch serving for distance, kNN and range queries.
@@ -78,8 +62,9 @@ class BatchQueryEngine:
     model:
         The learned embedding (``None`` for an exact-only engine).
     index:
-        Tree index over the same embedding; enables frontier-pruned
-        batched kNN/range.  Without it those fall back to brute rows.
+        Tree index whose snapshot holds ``model.matrix`` itself; enables
+        frontier-pruned batched kNN/range.  Without it those score every
+        target.
     graph:
         The road network; required for the ``exact_*`` fallback path.
     row_cache_size:
@@ -89,10 +74,11 @@ class BatchQueryEngine:
         Capacity of the exact SSSP-tree LRU.  ``0`` disables it.
     version:
         Embedding version this engine serves (``RNE.version``).  Hot-row
-        cache keys embed it, so entries computed against one embedding can
-        never answer queries against another — staleness after a live
-        update is impossible *by construction*, not by best-effort
-        flushing.  Bumped via :meth:`set_version`.
+        cache keys embed the version of the snapshot a row was computed
+        from, so entries computed against one embedding can never answer
+        queries against another — staleness after a live update is
+        impossible *by construction*, not by best-effort flushing.  Bumped
+        via :meth:`set_version`, which purges rows of other versions.
     """
 
     def __init__(
@@ -107,9 +93,12 @@ class BatchQueryEngine:
     ) -> None:
         if model is None and graph is None:
             raise ValueError("BatchQueryEngine needs a model and/or a graph")
-        if index is not None and model is not None:
-            if index.matrix is not model.matrix and index.matrix.shape != model.matrix.shape:
-                raise ValueError("index and model cover different embeddings")
+        if (
+            index is not None
+            and model is not None
+            and index.snapshot.matrix is not model.matrix
+        ):
+            raise ValueError("index and model cover different embeddings")
         if version < 0:
             raise ValueError(f"version must be >= 0, got {version}")
         self.model = model
@@ -123,7 +112,8 @@ class BatchQueryEngine:
         self.sssp = self.stats.register_cache(LRUCache(sssp_cache_size, name="sssp"))
         # Promote-on-second-touch bookkeeping: sources seen once per
         # (version, prepared set); a repeat miss pays one full-row pass
-        # and caches it.
+        # and caches it.  Guarded by the hot-row cache's lock, which the
+        # writer's purge in set_version also takes.
         self._touched: "OrderedDict[Tuple[int, int, int], None]" = OrderedDict()
         self._touch_capacity = max(4 * row_cache_size, 64)
 
@@ -168,13 +158,14 @@ class BatchQueryEngine:
             )
         stale_version = self.version
         self.version = int(version)
-        dropped_rows = self.hot_rows.purge(
-            lambda key: bool(
-                isinstance(key, tuple) and key and key[0] != self.version
+        with self.hot_rows.lock:
+            dropped_rows = self.hot_rows.purge(
+                lambda key: bool(
+                    isinstance(key, tuple) and key and key[0] != self.version
+                )
             )
-        )
-        dropped_touches = len(self._touched)
-        self._touched.clear()
+            dropped_touches = len(self._touched)
+            self._touched.clear()
         dropped_sssp = 0
         if graph is not None:
             self.graph = graph
@@ -211,7 +202,8 @@ class BatchQueryEngine:
         model = self._model_or_raise()
         pairs = np.asarray(pairs, dtype=np.int64)
         with self.stats.timed("distances", pairs.shape[0]):
-            return model.query_pairs(pairs)
+            matrix = self._snapshot(model).matrix
+            return lp_distance(matrix[pairs[:, 0]] - matrix[pairs[:, 1]], model.p)
 
     @shapes(sources="(s,):int")
     def knn(self, sources: np.ndarray, targets: Targets, k: int) -> List[np.ndarray]:
@@ -219,7 +211,7 @@ class BatchQueryEngine:
 
         Returns one id array per source, each in ascending
         ``(distance, id)`` order with ``min(k, #unique targets)`` entries —
-        bit-identical to per-query ``EmbeddingTreeIndex.knn_prepared``.
+        bit-identical to ``RNEModel.knn_brute`` on the snapshot's rows.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -230,7 +222,8 @@ class BatchQueryEngine:
             k_eff = min(k, prepared.m)
             if sources.size == 0 or k_eff == 0:
                 return [np.empty(0, dtype=np.int64) for _ in range(sources.size)]
-            rows, miss_idx = self._cached_rows(model, prepared, sources)
+            snap = self._snapshot(model)
+            rows, miss_idx = self._cached_rows(snap, model.p, prepared, sources)
             out: List[Optional[np.ndarray]] = [None] * sources.size
             hit_idx = list(rows)
             step = max(1, _CHUNK_ELEMS // prepared.m)
@@ -243,8 +236,8 @@ class BatchQueryEngine:
                 for i, ids in zip(block, top):  # perf: loop-ok (scatter)
                     out[i] = ids
             if miss_idx.size:
-                miss_results = self._knn_frontier(
-                    model, prepared, sources[miss_idx], k_eff
+                miss_results = knn_frontier(
+                    snap, prepared, sources[miss_idx], k_eff, model.p, self.index
                 )
                 for j, res in zip(miss_idx, miss_results):  # perf: loop-ok (scatter)
                     out[int(j)] = res
@@ -257,8 +250,7 @@ class BatchQueryEngine:
         """Batched range query (embedding metric, sorted-ids contract).
 
         Returns, per source, the ascending sorted ids of targets within
-        embedding distance ``tau`` — bit-identical to per-query
-        ``EmbeddingTreeIndex.range_prepared``.
+        embedding distance ``tau`` of the snapshot's rows.
         """
         if not tau >= 0:  # also rejects NaN
             raise ValueError(f"tau must be >= 0, got {tau}")
@@ -268,13 +260,14 @@ class BatchQueryEngine:
         with self.stats.timed("range", sources.size):
             if sources.size == 0 or prepared.m == 0:
                 return [np.empty(0, dtype=np.int64) for _ in range(sources.size)]
-            rows, miss_idx = self._cached_rows(model, prepared, sources)
+            snap = self._snapshot(model)
+            rows, miss_idx = self._cached_rows(snap, model.p, prepared, sources)
             out: List[Optional[np.ndarray]] = [None] * sources.size
             for i, row in rows.items():  # perf: loop-ok (cache hits only)
                 out[i] = prepared.ids[row <= tau]
             if miss_idx.size:
-                miss_results = self._range_frontier(
-                    model, prepared, sources[miss_idx], tau
+                miss_results = range_frontier(
+                    snap, prepared, sources[miss_idx], tau, model.p, self.index
                 )
                 for j, res in zip(miss_idx, miss_results):  # perf: loop-ok (scatter)
                     out[int(j)] = res
@@ -370,9 +363,16 @@ class BatchQueryEngine:
             self.sssp.put(source, row)
         return row
 
+    def _snapshot(self, model: RNEModel) -> ServingSnapshot:
+        """The one snapshot a batch reads rows (and node geometry) from."""
+        if self.index is not None:
+            return self.index.snapshot
+        return ServingSnapshot.of_matrix(self.version, model.matrix)
+
     def _cached_rows(
         self,
-        model: RNEModel,
+        snap: ServingSnapshot,
+        p: float,
         prepared: PreparedTargets,
         sources: np.ndarray,
     ) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
@@ -386,198 +386,29 @@ class BatchQueryEngine:
         hits: Dict[int, np.ndarray] = {}
         miss: List[int] = []
         promote: List[int] = []
-        # Keys embed the engine's embedding version: a row cached against
-        # version v is unreachable at v+1, so a live update can never serve
-        # stale distances out of this cache.
-        # perf: loop-ok (per-source cache bookkeeping; row maths is vectorised)
-        for i, s in enumerate(sources):
-            key = (self.version, prepared.token, int(s))
-            row = self.hot_rows.get(key)
-            if row is not None:
-                hits[i] = row
-                continue
-            if self.hot_rows.capacity and key in self._touched:
-                promote.append(i)
-            else:
-                self._touch(key)
-            miss.append(i)
+        # Keys embed the snapshot's version: a row cached against version
+        # v is unreachable at v+1, so a live update can never serve stale
+        # distances out of this cache.
+        admit = self.hot_rows.capacity > 0  # else no ledger: nothing to promote into
+        with self.hot_rows.lock:
+            # perf: loop-ok (per-source cache bookkeeping; row maths is vectorised)
+            for i, s in enumerate(sources):
+                key = (snap.version, prepared.token, int(s))
+                row = self.hot_rows.get(key)
+                if row is not None:
+                    hits[i] = row
+                elif admit and key in self._touched:
+                    promote.append(i)
+                else:
+                    if admit:
+                        self._touched[key] = None
+                        if len(self._touched) > self._touch_capacity:
+                            self._touched.popitem(last=False)
+                    miss.append(i)
         if promote:
-            promote_sources = sources[np.array(promote, dtype=np.int64)]
-            rows = self._full_rows(model, prepared, promote_sources)
+            rows = full_rows(snap, prepared, sources[promote], p)
             # perf: loop-ok (cache insertion per promoted source)
             for i, row in zip(promote, rows):
-                self.hot_rows.put(
-                    (self.version, prepared.token, int(sources[i])), row
-                )
+                self.hot_rows.put((snap.version, prepared.token, int(sources[i])), row)
                 hits[i] = row
-                miss.remove(i)
         return hits, np.array(miss, dtype=np.int64)
-
-    def _touch(self, key: Tuple[int, int, int]) -> None:
-        if key in self._touched:
-            self._touched.move_to_end(key)
-        else:
-            self._touched[key] = None
-        while len(self._touched) > self._touch_capacity:
-            self._touched.popitem(last=False)
-
-    def _full_rows(
-        self,
-        model: RNEModel,
-        prepared: PreparedTargets,
-        sources: np.ndarray,
-    ) -> np.ndarray:
-        """(S, m) embedding distances from each source to every target id."""
-        t_vecs = model.matrix[prepared.ids]
-        out = np.empty((sources.size, prepared.m), dtype=np.float64)
-        step = max(1, _CHUNK_ELEMS // max(1, prepared.m * model.d))
-        # perf: loop-ok (memory chunking; each chunk is one vector pass)
-        for start in range(0, sources.size, step):
-            block = model.matrix[sources[start : start + step]]
-            out[start : start + step] = lp_distance(
-                block[:, None, :] - t_vecs[None, :, :], model.p
-            )
-        return out
-
-    # -- batched frontiers ---------------------------------------------
-    def _knn_frontier(
-        self,
-        model: RNEModel,
-        prepared: PreparedTargets,
-        sources: np.ndarray,
-        k_eff: int,
-    ) -> List[np.ndarray]:
-        """Exact batched kNN via a leaf-bound matrix (see docs/SERVING.md).
-
-        For each source the leaves are ranked by lower bound; walking that
-        ranking until ``k_eff`` members are covered yields an upper bound
-        ``ub`` on the k-th distance (the running max of centre-distance +
-        radius), so every answer lies in a leaf with bound <= ``ub`` — the
-        candidate set is a provable superset and the final ``(distance,
-        id)`` lexsort over actual member distances is exact.
-        """
-        index = self.index
-        if index is None or not prepared.has_tree:
-            rows = self._full_rows(model, prepared, sources)
-            return list(_topk_rows(rows, prepared.ids, k_eff))
-        leaf_ids = prepared.leaf_ids
-        member_flat = prepared.member_flat
-        member_offsets = prepared.member_offsets
-        if leaf_ids is None or member_flat is None or member_offsets is None:
-            raise ValueError("prepared targets lack tree structure")
-        centres = index.node_centres[leaf_ids]
-        radii = index.node_radii[leaf_ids]
-        counts = np.diff(member_offsets)
-        results: List[np.ndarray] = []
-        step = max(1, _CHUNK_ELEMS // max(1, leaf_ids.size * model.d))
-        # perf: loop-ok (memory chunking over sources; body is vectorised)
-        for start in range(0, sources.size, step):
-            chunk = sources[start : start + step]
-            q = model.matrix[chunk]
-            cd = lp_distance(q[:, None, :] - centres[None, :, :], model.p)
-            lb = np.maximum(cd - radii[None, :], 0.0)
-            order = np.argsort(lb, axis=1, kind="stable")
-            cum = np.cumsum(counts[order], axis=1)
-            cut = np.minimum((cum < k_eff).sum(axis=1), leaf_ids.size - 1)
-            running_ub = np.maximum.accumulate(
-                np.take_along_axis(cd + radii[None, :], order, axis=1), axis=1
-            )
-            ub = running_ub[np.arange(chunk.size), cut]
-            ub = ub + _UB_SLACK * (1.0 + np.abs(ub))
-            active = lb <= ub[:, None]
-            src_idx, leaf_idx = np.nonzero(active)
-            gather = _flat_gather(member_offsets[leaf_idx], counts[leaf_idx])
-            cand_ids = member_flat[gather]
-            cand_src = np.repeat(src_idx, counts[leaf_idx])
-            d = lp_distance(
-                model.matrix[cand_ids] - q[cand_src], model.p
-            )
-            sel = np.lexsort((cand_ids, d, cand_src))
-            seg_counts = np.bincount(cand_src, minlength=chunk.size)
-            seg_off = np.concatenate(([0], np.cumsum(seg_counts)))
-            sorted_ids = cand_ids[sel]
-            # perf: loop-ok (per-source segment slicing of sorted output)
-            for i in range(chunk.size):
-                lo = int(seg_off[i])
-                results.append(sorted_ids[lo : lo + min(k_eff, int(seg_counts[i]))])
-        return results
-
-    def _range_frontier(
-        self,
-        model: RNEModel,
-        prepared: PreparedTargets,
-        sources: np.ndarray,
-        tau: float,
-    ) -> List[np.ndarray]:
-        """Exact batched range via level-synchronous frontier descent.
-
-        Maintains a flat array of live (source, tree-node) pairs; one
-        vectorised bound pass per tree level prunes and expands it — the
-        surviving leaf set is *identical* to what the per-query descent
-        visits, so the results are bit-for-bit the same.
-        """
-        index = self.index
-        if index is None or not prepared.has_tree:
-            rows = self._full_rows(model, prepared, sources)
-            # perf: loop-ok (per-row threshold filter)
-            return [prepared.ids[row <= tau] for row in rows]
-        node_active = prepared.node_active
-        leaf_pos = prepared.leaf_pos
-        member_flat = prepared.member_flat
-        member_offsets = prepared.member_offsets
-        if (
-            node_active is None
-            or leaf_pos is None
-            or member_flat is None
-            or member_offsets is None
-        ):
-            raise ValueError("prepared targets lack tree structure")
-        results: List[np.ndarray] = []
-        roots = np.asarray(index.hierarchy.root_ids(), dtype=np.int64)
-        counts = np.diff(member_offsets)
-        step = max(1, _CHUNK_ELEMS // max(1, max(roots.size, 64) * model.d))
-        # perf: loop-ok (memory chunking over sources; body is vectorised)
-        for start in range(0, sources.size, step):
-            chunk = sources[start : start + step]
-            q = model.matrix[chunk]
-            f_src = np.repeat(np.arange(chunk.size, dtype=np.int64), roots.size)
-            f_node = np.tile(roots, chunk.size)
-            # perf: loop-ok (one vectorised pass per tree level)
-            for _level in range(index.leaf_level + 1):
-                if f_src.size == 0:
-                    break
-                alive = node_active[f_node]
-                f_src, f_node = f_src[alive], f_node[alive]
-                bound = np.maximum(
-                    lp_distance(
-                        q[f_src] - index.node_centres[f_node], model.p
-                    )
-                    - index.node_radii[f_node],
-                    0.0,
-                )
-                keep = bound <= tau
-                f_src, f_node = f_src[keep], f_node[keep]
-                if _level == index.leaf_level:
-                    break
-                child_counts = (
-                    index.child_offsets[f_node + 1] - index.child_offsets[f_node]
-                )
-                gather = _flat_gather(index.child_offsets[f_node], child_counts)
-                f_src = np.repeat(f_src, child_counts)
-                f_node = index.child_flat[gather]
-            # Surviving frontier entries are target-holding leaves.
-            positions = leaf_pos[f_node]
-            gather = _flat_gather(member_offsets[positions], counts[positions])
-            cand_ids = member_flat[gather]
-            cand_src = np.repeat(f_src, counts[positions])
-            d = lp_distance(model.matrix[cand_ids] - q[cand_src], model.p)
-            hit = d <= tau
-            cand_ids, cand_src = cand_ids[hit], cand_src[hit]
-            sel = np.lexsort((cand_ids, cand_src))
-            seg_counts = np.bincount(cand_src, minlength=chunk.size)
-            seg_off = np.concatenate(([0], np.cumsum(seg_counts)))
-            sorted_ids = cand_ids[sel]
-            # perf: loop-ok (per-source segment slicing of sorted output)
-            for i in range(chunk.size):
-                results.append(sorted_ids[int(seg_off[i]) : int(seg_off[i + 1])])
-        return results

@@ -5,8 +5,7 @@ Every :class:`~repro.serving.engine.BatchQueryEngine` operation records
 go into fixed log-spaced histograms, so percentile estimates (p50/p99) cost
 O(#bins) memory regardless of traffic volume — the standard production
 trade-off (exact min/max are tracked separately).  ``snapshot()`` returns a
-JSON-safe dict consumed by ``BENCH_serving.json`` and the ``rne serve``
-front door.
+JSON-safe dict consumed by the ``rne serve`` front door's ``--stats-out``.
 """
 
 from __future__ import annotations

@@ -9,12 +9,18 @@ No cache, radius, or SSSP tree may keep serving the pre-update world.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import repro.live.update as live_update_module
+from repro.core import RNEModel, UpdateResult
 from repro.core.index import EmbeddingTreeIndex
-from repro.core.pipeline import RNE
-from repro.graph import Graph
+from repro.core.pipeline import RNE, BuildHistory
+from repro.graph import Graph, PartitionHierarchy, grid_city
 from repro.live import LiveUpdateManager, UpdateStats, perturb_weights
 from repro.reliability.checkpoint import CheckpointManager, unpack_state
 from repro.reliability.fallback import ResilientOracle
@@ -109,9 +115,12 @@ class TestPublish:
         rebuilt = EmbeddingTreeIndex(
             clone_rne.hierarchy, clone_rne.model.matrix, clone_rne.model.p
         )
-        assert np.array_equal(index.node_centres, rebuilt.node_centres)
-        assert np.array_equal(index.node_radii, rebuilt.node_radii)
-        assert 0 < stats.index_nodes_refreshed <= index.node_radii.size
+        snap, fresh = index.snapshot, rebuilt.snapshot
+        assert snap.matrix is clone_rne.model.matrix
+        assert snap.version == clone_rne.version
+        assert np.array_equal(snap.centres, fresh.centres)
+        assert np.array_equal(snap.radii, fresh.radii)
+        assert 0 < stats.index_nodes_refreshed <= snap.radii.size
 
     def test_graph_swapped_when_changed(self, clone_rne):
         manager = LiveUpdateManager(clone_rne)
@@ -273,3 +282,161 @@ class TestHistory:
         assert all(isinstance(s, UpdateStats) for s in manager.history)
         versions = [s.version_after for s in manager.history]
         assert versions == sorted(versions)
+
+
+def _smooth_rne(seed):
+    """A 20x20 street grid with a smooth (coordinate-like) embedding."""
+    graph = grid_city(20, 20, seed=seed)
+    rng = np.random.default_rng(seed)
+    coords = graph.coords / 100.0
+    matrix = np.column_stack([coords, coords @ rng.normal(size=(2, 2))])
+    matrix += rng.normal(scale=0.05, size=matrix.shape)
+    hierarchy = PartitionHierarchy(graph, fanout=4, leaf_size=16, seed=seed)
+    return RNE(graph, RNEModel(matrix), hierarchy, BuildHistory())
+
+
+def _contract_cells(rne, matrix, rng, factor):
+    """Scale six random leaf cells' rows about their centres (radii shrink)."""
+    hierarchy = rne.hierarchy
+    leaf_cells = hierarchy.levels[rne.index.leaf_level]
+    new = matrix.copy()
+    changed = []
+    for cell in rng.choice(len(leaf_cells), size=6, replace=False):
+        members = np.asarray(hierarchy.nodes[leaf_cells[cell]].vertices)
+        centre = new[members].mean(axis=0)
+        new[members] = centre + factor * (new[members] - centre)
+        changed.append(members)
+    return new, np.sort(np.concatenate(changed))
+
+
+def _publish_without_training(monkeypatch, plan):
+    """Make ``update`` publish ``plan()``'s (matrix, changed rows) as retrained."""
+
+    def fake_update_rne(view, *args, **kwargs):
+        new, changed = plan()
+        view.locals[-1][changed] = new[changed]
+        return UpdateResult(published=True, changed_rows=changed)
+
+    monkeypatch.setattr(live_update_module, "update_rne", fake_update_rne)
+
+
+def _matches_a_version(matrices, sources, targets, k, tau, knn_out, range_out):
+    """Per source: both answers equal brute force at one of ``matrices``."""
+    for i, s in enumerate(sources):
+        models = [RNEModel(m) for m in matrices]
+        knn_ok = any(
+            np.array_equal(knn_out[i], m.knn_brute(int(s), targets, k)) for m in models
+        )
+        range_ok = any(
+            np.array_equal(
+                range_out[i], targets[m.distances_from(int(s), targets) <= tau]
+            )
+            for m in models
+        )
+        if not (knn_ok and range_ok):
+            return False
+    return True
+
+
+class TestConcurrentPublish:
+    """Readers see one published version per batch, never a torn mix."""
+
+    K, TAU = 5, 0.8
+
+    def test_batches_right_after_refresh_see_one_version(self, monkeypatch):
+        """Serve between the index refresh and the rest of the publish."""
+        rne = _smooth_rne(seed=2)
+        engine = BatchQueryEngine.from_rne(rne)
+        old = rne.model.matrix
+        new, changed = _contract_cells(rne, old, np.random.default_rng(2), 0.05)
+        _publish_without_training(monkeypatch, lambda: (new, changed))
+        sources = np.arange(rne.graph.n, dtype=np.int64)
+        targets = np.arange(rne.graph.n, dtype=np.int64)
+        served = {}
+        refresh = rne.index.refresh_rows
+
+        def refresh_then_serve(matrix, changed_vertices):
+            refreshed = refresh(matrix, changed_vertices)
+            served["knn"] = engine.knn(sources, targets, self.K)
+            served["range"] = engine.range_query(sources, targets, self.TAU)
+            return refreshed
+
+        monkeypatch.setattr(rne.index, "refresh_rows", refresh_then_serve)
+        stats = LiveUpdateManager(rne, engines=(engine,)).update(
+            rne.graph, np.array([[0, 1]])
+        )
+        assert stats.published and rne.model.matrix is not old
+        for i, s in enumerate(sources):
+            assert _matches_a_version(
+                (old, new), [s], targets, self.K, self.TAU,
+                [served["knn"][i]], [served["range"][i]],
+            ), f"source {s} mixes two versions"
+
+    def test_reader_threads_during_updates(self, monkeypatch):
+        rne = _smooth_rne(seed=0)
+        engine = BatchQueryEngine.from_rne(rne, row_cache_size=32)
+        manager = LiveUpdateManager(rne, engines=(engine,))
+        rng = np.random.default_rng(0)
+        matrices = {0: rne.model.matrix}
+
+        def plan():
+            factor = 0.05 if len(matrices) % 2 else 20.0
+            new, changed = _contract_cells(rne, rne.model.matrix, rng, factor)
+            matrices[rne.version + 1] = new
+            return new, changed
+
+        _publish_without_training(monkeypatch, plan)
+        refresh = rne.index.refresh_rows
+
+        def refresh_then_pause(matrix, changed_vertices):
+            # Widen the gap between the index refresh and the rest of the
+            # publish so readers land in it.
+            refreshed = refresh(matrix, changed_vertices)
+            time.sleep(0.005)
+            return refreshed
+
+        monkeypatch.setattr(rne.index, "refresh_rows", refresh_then_pause)
+        targets = np.arange(0, rne.graph.n, 2, dtype=np.int64)
+        prepared = engine.prepare(targets)
+        stop = threading.Event()
+        calls, errors = [], []
+
+        def reader(seed):
+            local = np.random.default_rng(seed)
+            hot = local.choice(rne.graph.n, size=24, replace=False)
+            try:
+                while not stop.is_set():
+                    # Repeated sources exercise promotion and hot-row hits.
+                    sources = local.choice(hot, size=12).astype(np.int64)
+                    lo = rne.index.snapshot.version
+                    knn_out = engine.knn(sources, prepared, self.K)
+                    range_out = engine.range_query(sources, prepared, self.TAU)
+                    hi = rne.index.snapshot.version
+                    calls.append((lo, hi, sources, knn_out, range_out))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(6):
+                time.sleep(0.02)
+                manager.update(rne.graph, np.array([[0, 1]]))
+            time.sleep(0.02)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert rne.version == 6
+        assert len({lo for lo, *_ in calls}) > 1, "readers never overlapped an update"
+        for lo, hi, sources, knn_out, range_out in calls:
+            versions = [matrices[v] for v in range(lo, hi + 1)]
+            assert _matches_a_version(
+                versions, sources, targets, self.K, self.TAU, knn_out, range_out
+            ), f"answer at versions {lo}..{hi} matches none of them"

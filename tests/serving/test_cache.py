@@ -1,5 +1,8 @@
 """Tests for the counting LRU cache behind the serving engine."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.serving import LRUCache
@@ -129,3 +132,38 @@ class TestPurgeAndInvalidations:
         assert "b" in cache
         assert "c" in cache
         assert cache.evictions == 0
+
+
+class TestConcurrentAccess:
+    def test_readers_survive_a_purging_writer(self):
+        """Lookups, inserts and purges from several threads never raise."""
+        cache = LRUCache(64)
+        stop = threading.Event()
+        errors = []
+
+        def reader(seed):
+            key = seed
+            try:
+                while not stop.is_set():
+                    key = (key * 31 + 7) % 97
+                    if cache.get((key % 4, key)) is None:
+                        cache.put((key % 4, key), key)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        try:
+            for thread in threads:
+                thread.start()
+            for version in range(400):
+                cache.purge(lambda key, v=version: key[0] != v % 4)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.hits > 0 and cache.invalidations > 0

@@ -4,7 +4,8 @@ The same degenerate inputs — empty target sets, ``tau == 0``, the source
 being a target, ``k > #targets``, duplicated target ids — are pushed
 through every implementation pair that shares a metric:
 
-* embedding metric: ``EmbeddingTreeIndex`` one-shot and prepared paths,
+* embedding metric: ``RNEModel.knn_brute`` and a brute range filter (the
+  reference), ``RNE.knn``/``range_query``,
   ``BatchQueryEngine.knn``/``range_query``, healthy ``ResilientOracle``;
 * network metric: ``knn_true``/``range_true``, ``BatchQueryEngine.exact_*``,
   degraded ``ResilientOracle``.
@@ -46,6 +47,11 @@ def degraded_oracle(small_grid, rne, tmp_path_factory):
     return oracle
 
 
+def _brute_range(model, source, targets, tau):
+    ids = np.unique(np.asarray(targets, dtype=np.int64))
+    return ids[model.distances_from(source, ids) <= tau]
+
+
 def _target_cases(source, n):
     return {
         "empty": EMPTY,
@@ -60,11 +66,12 @@ class TestEmbeddingImplementationsAgree:
 
     @pytest.mark.parametrize("case", ["empty", "duplicates", "source_in_targets", "all_vertices"])
     @pytest.mark.parametrize("k", [1, 2, 99])  # 99 > every target set
-    def test_knn(self, case, k, stack, engine, healthy_oracle, small_grid):
-        _, index = stack
+    def test_knn(self, case, k, stack, rne, engine, healthy_oracle, small_grid):
+        model, _ = stack
         targets = _target_cases(self.SOURCE, small_grid.n)[case]
-        reference = index.knn_query(self.SOURCE, targets, k)
+        reference = model.knn_brute(self.SOURCE, targets, k)
         assert reference.size == min(k, np.unique(targets).size)
+        np.testing.assert_array_equal(rne.knn(self.SOURCE, targets, k), reference)
         batch = engine.knn(np.array([self.SOURCE], dtype=np.int64), targets, k)[0]
         np.testing.assert_array_equal(batch, reference)
         oracle_out = healthy_oracle.knn(self.SOURCE, targets, k)
@@ -72,11 +79,14 @@ class TestEmbeddingImplementationsAgree:
 
     @pytest.mark.parametrize("case", ["empty", "duplicates", "source_in_targets", "all_vertices"])
     @pytest.mark.parametrize("tau", [0.0, 3.0])
-    def test_range(self, case, tau, stack, engine, healthy_oracle, small_grid):
-        _, index = stack
+    def test_range(self, case, tau, stack, rne, engine, healthy_oracle, small_grid):
+        model, _ = stack
         targets = _target_cases(self.SOURCE, small_grid.n)[case]
-        reference = index.range_query(self.SOURCE, targets, tau)
+        reference = _brute_range(model, self.SOURCE, targets, tau)
         assert np.array_equal(reference, np.sort(reference))  # sorted-ids
+        np.testing.assert_array_equal(
+            rne.range_query(self.SOURCE, targets, tau), reference
+        )
         batch = engine.range_query(
             np.array([self.SOURCE], dtype=np.int64), targets, tau
         )[0]
@@ -86,14 +96,14 @@ class TestEmbeddingImplementationsAgree:
 
     def test_tau_zero_with_source_in_targets(self, stack, engine, small_grid):
         """Embedding distance to itself is exactly 0 -> always within tau=0."""
-        _, index = stack
+        model, _ = stack
         targets = np.array([self.SOURCE, 5, 11], dtype=np.int64)
         out = engine.range_query(
             np.array([self.SOURCE], dtype=np.int64), targets, 0.0
         )[0]
         assert self.SOURCE in out
         np.testing.assert_array_equal(
-            out, index.range_query(self.SOURCE, targets, 0.0)
+            out, _brute_range(model, self.SOURCE, targets, 0.0)
         )
 
 

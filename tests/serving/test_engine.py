@@ -8,6 +8,7 @@ import pytest
 from repro.algorithms.dijkstra import pair_distances
 from repro.algorithms.knn import knn_true, range_true
 from repro.core import RNE, EmbeddingTreeIndex, RNEModel
+from repro.core import index as index_module
 from repro.core.index import PreparedTargets
 from repro.core.pipeline import BuildHistory
 from repro.graph import PartitionHierarchy
@@ -22,6 +23,11 @@ def _random_targets(rng, n, size, with_duplicates=True):
     return targets
 
 
+def _brute_range(model, source, targets, tau):
+    ids = np.unique(np.asarray(targets, dtype=np.int64))
+    return ids[model.distances_from(int(source), ids) <= tau]
+
+
 class TestConstruction:
     def test_needs_model_or_graph(self):
         with pytest.raises(ValueError):
@@ -34,6 +40,13 @@ class TestConstruction:
         other = RNEModel(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             BatchQueryEngine(model=other, index=index)
+
+    def test_same_shape_foreign_matrix_rejected(self, stack):
+        """An index over another embedding of the same shape is refused."""
+        model, index = stack
+        foreign = RNEModel(model.matrix.copy(), p=model.p)
+        with pytest.raises(ValueError, match="different embeddings"):
+            BatchQueryEngine(model=foreign, index=index)
 
     def test_prepare_passes_through_prepared(self, engine, rng):
         prepared = engine.prepare(np.arange(10, dtype=np.int64))
@@ -103,11 +116,11 @@ class TestDistances:
 
 
 class TestBatchedBitIdentity:
-    """Batched kNN/range must be bit-identical to the per-query index walk."""
+    """Batched kNN/range must be bit-identical to brute force."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_knn_matches_per_query(self, engine, stack, small_grid, seed):
-        _, index = stack
+        model, _ = stack
         rng = np.random.default_rng(seed)
         targets = _random_targets(rng, small_grid.n, 20)
         sources = rng.integers(0, small_grid.n, size=12).astype(np.int64)
@@ -116,12 +129,12 @@ class TestBatchedBitIdentity:
             batch = engine.knn(sources, prepared, k)
             for s, ids in zip(sources, batch):
                 np.testing.assert_array_equal(
-                    ids, index.knn_prepared(int(s), prepared, k)
+                    ids, model.knn_brute(int(s), targets, k)
                 )
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_range_matches_per_query(self, engine, stack, small_grid, seed):
-        _, index = stack
+        model, _ = stack
         rng = np.random.default_rng(seed)
         targets = _random_targets(rng, small_grid.n, 20)
         sources = rng.integers(0, small_grid.n, size=12).astype(np.int64)
@@ -130,27 +143,37 @@ class TestBatchedBitIdentity:
             batch = engine.range_query(sources, prepared, tau)
             for s, ids in zip(sources, batch):
                 np.testing.assert_array_equal(
-                    ids, index.range_prepared(int(s), prepared, tau)
+                    ids, _brute_range(model, s, targets, tau)
                 )
 
-    def test_identity_survives_cache_promotion(self, engine, stack, small_grid):
-        """Hot sources answered from cached rows give the same bits."""
-        _, index = stack
+    def test_identity_survives_cache_promotion(self, stack, small_grid):
+        """Cold, promotion and warm passes all equal brute force.
+
+        On a fresh engine every source misses on the first pass (frontier),
+        is promoted to a hot row on the second (answered from its new full
+        row) and must hit the cache on the third.
+        """
+        model, index = stack
         rng = np.random.default_rng(7)
         targets = _random_targets(rng, small_grid.n, 25)
-        sources = rng.integers(0, small_grid.n, size=10).astype(np.int64)
-        prepared = engine.prepare(targets)
-        for _ in range(3):  # 1st touch, promotion, hit
-            knn_out = engine.knn(sources, prepared, 5)
-            range_out = engine.range_query(sources, prepared, 4.0)
-            for s, k_ids, r_ids in zip(sources, knn_out, range_out):
-                np.testing.assert_array_equal(
-                    k_ids, index.knn_prepared(int(s), prepared, 5)
-                )
-                np.testing.assert_array_equal(
-                    r_ids, index.range_prepared(int(s), prepared, 4.0)
-                )
-        assert engine.hot_rows.hits > 0
+        sources = rng.choice(small_grid.n, size=10, replace=False).astype(np.int64)
+        want = {
+            "knn": [model.knn_brute(int(s), targets, 5) for s in sources],
+            "range": [_brute_range(model, s, targets, 4.0) for s in sources],
+        }
+        for op, expected in want.items():
+            engine = BatchQueryEngine(model=model, index=index)
+            prepared = engine.prepare(targets)
+            for phase in ("cold", "promotion", "warm"):
+                hits = engine.hot_rows.hits
+                if op == "knn":
+                    out = engine.knn(sources, prepared, 5)
+                else:
+                    out = engine.range_query(sources, prepared, 4.0)
+                assert len(out) == sources.size, (op, phase)
+                for got, ids in zip(out, expected):
+                    _assert_same_bytes(got, ids)
+            assert engine.hot_rows.hits - hits == sources.size, op
 
     def test_flat_engine_matches_brute(self, stack, small_grid):
         """Without an index the engine still honours the ordering contract."""
@@ -200,11 +223,10 @@ class TestTiedAnswers:
         return BatchQueryEngine(model=model, index=index, graph=small_grid)
 
     def _check(self, engine, tied_stack, sources, prepared, k):
-        model, index = tied_stack
+        model, _ = tied_stack
         out = engine.knn(sources, prepared, k)
         assert len(out) == sources.size
         for s, ids in zip(sources, out):
-            _assert_same_bytes(ids, index.knn_prepared(int(s), prepared, k))
             _assert_same_bytes(ids, model.knn_brute(int(s), prepared.ids, k))
 
     def test_embedding_ties_at_the_kth_place(self, tied_stack, small_grid):
@@ -267,7 +289,7 @@ class TestTiedAnswers:
         flat = BatchQueryEngine(model=model, graph=small_grid, row_cache_size=0)
         targets = np.arange(3, small_grid.n, 2, dtype=np.int64)
         sources = np.arange(0, small_grid.n, 5, dtype=np.int64)
-        monkeypatch.setattr(engine_module, "_CHUNK_ELEMS", 3 * targets.size * model.d)
+        monkeypatch.setattr(index_module, "_CHUNK_ELEMS", 3 * targets.size * model.d)
         for k in self.K_VALUES:
             for s, ids in zip(sources, flat.knn(sources, targets, k)):
                 _assert_same_bytes(ids, model.knn_brute(int(s), targets, k))
@@ -336,6 +358,7 @@ class TestCachingBehaviour:
             engine.knn(sources, targets, 2)
         assert len(engine.hot_rows) == 0
         assert engine.hot_rows.hits == 0
+        assert len(engine._touched) == 0  # nothing can be promoted
 
     def test_prepared_sets_do_not_alias(self, engine, small_grid):
         """Same ids prepared twice -> distinct cache keys (token-based)."""

@@ -93,7 +93,7 @@ class TestMicroBatcher:
 
 class TestServeLines:
     def test_answers_in_input_order(self, engine, stack, small_grid):
-        model, index = stack
+        model, _ = stack
         targets = np.arange(0, small_grid.n, 3, dtype=np.int64)
         lines = [
             "# warmup comment",
@@ -108,9 +108,9 @@ class TestServeLines:
         )
         assert len(answers) == 4  # comments/blanks get no answer line
         assert float(answers[0]) == pytest.approx(model.query(0, 9))
-        expect_knn = index.knn_query(4, targets, 3)
+        expect_knn = model.knn_brute(4, targets, 3)
         assert answers[1] == " ".join(str(int(v)) for v in expect_knn)
-        expect_range = index.range_query(2, targets, 2.5)
+        expect_range = targets[model.distances_from(2, targets) <= 2.5]
         assert answers[2] == " ".join(str(int(v)) for v in expect_range)
         assert float(answers[3]) == pytest.approx(model.query(1, 9))
 

@@ -137,8 +137,9 @@ class TestServingCli:
         snap = json.loads(stats_path.read_text())
         assert snap["ops"]["exact_distances"]["items"] == 2
 
-    def test_serving_experiment_registered(self):
-        assert "serving" in EXPERIMENTS
+    def test_serving_experiment_retired(self):
+        """The serving bench's only baseline was the per-query index walk."""
+        assert "serving" not in EXPERIMENTS
 
 
 class TestUpdateCommand:
