@@ -64,50 +64,62 @@ class Graph:
             raise GraphError(f"graph must have at least one vertex, got n={n}")
         self.n = int(n)
 
-        triples = [(int(u), int(v), float(w)) for u, v, w in edges]
-        self._validate_edges(triples)
-        triples = self._dedupe(triples)
-
-        us = np.fromiter((t[0] for t in triples), dtype=np.int64, count=len(triples))
-        vs = np.fromiter((t[1] for t in triples), dtype=np.int64, count=len(triples))
-        ws = np.fromiter((t[2] for t in triples), dtype=np.float64, count=len(triples))
+        # An ``(m, 3)`` array is taken as is; any other iterable of triples
+        # is materialised once.  Ids are truncated toward zero like int().
+        table = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges),
+            dtype=np.float64,
+        )
+        if table.size == 0:
+            table = table.reshape(0, 3)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise GraphError("edges must be (u, v, weight) triples")
+        ids = np.trunc(table[:, :2])
+        self._validate_edges(ids, table[:, 2])
+        us, vs, ws = self._dedupe(
+            ids[:, 0].astype(np.int64), ids[:, 1].astype(np.int64), table[:, 2]
+        )
 
         # Materialise both directions, then sort by source to obtain CSR.
+        # Row ``x`` lists its neighbours above ``x``, then those below, each
+        # ascending; the upper triangle read row-major is the edge order.
         src = np.concatenate([us, vs])
-        dst = np.concatenate([vs, us])
-        wgt = np.concatenate([ws, ws])
         order = np.argsort(src, kind="stable")
-        self._dst = dst[order]
-        self._wgt = wgt[order]
+        self._dst = np.concatenate([vs, us])[order]
+        self._wgt = np.concatenate([ws, ws])[order]
         self._indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(self._indptr, src + 1, 1)
-        np.cumsum(self._indptr, out=self._indptr)
-
-        self._edge_list = triples
+        np.cumsum(np.bincount(src, minlength=self.n), out=self._indptr[1:])
         self.coords = self._validate_coords(coords)
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _validate_edges(self, triples: Sequence[tuple[int, int, float]]) -> None:
-        for u, v, w in triples:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u} is not allowed")
-            if not (w > 0) or not np.isfinite(w):
-                raise GraphError(f"edge ({u}, {v}) has non-positive weight {w}")
+    def _validate_edges(self, ids: np.ndarray, ws: np.ndarray) -> None:
+        """Raise for the first malformed edge in input order."""
+        in_range = ((ids >= 0) & (ids < self.n)).all(axis=1)
+        bad = ~in_range | (ids[:, 0] == ids[:, 1]) | ~(ws > 0) | ~np.isfinite(ws)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        u, v, w = int(ids[i, 0]), int(ids[i, 1]), float(ws[i])
+        if not in_range[i]:
+            raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u} is not allowed")
+        raise GraphError(f"edge ({u}, {v}) has non-positive weight {w}")
 
     @staticmethod
     def _dedupe(
-        triples: Sequence[tuple[int, int, float]],
-    ) -> list[tuple[int, int, float]]:
-        best: dict[tuple[int, int], float] = {}
-        for u, v, w in triples:
-            key = (u, v) if u < v else (v, u)
-            if key not in best or w < best[key]:
-                best[key] = w
-        return [(u, v, w) for (u, v), w in sorted(best.items())]
+        us: np.ndarray, vs: np.ndarray, ws: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Orient each edge ``u < v``, keep the lightest of each parallel
+        group, and sort by ``(u, v)``."""
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        order = np.lexsort((ws, hi, lo))
+        lo, hi, ws = lo[order], hi[order], ws[order]
+        first = np.ones(lo.size, dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        return lo[first], hi[first], ws[first]
 
     def _validate_coords(self, coords: np.ndarray | None) -> np.ndarray | None:
         if coords is None:
@@ -143,7 +155,7 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of undirected edges."""
-        return len(self._edge_list)
+        return self._dst.size // 2
 
     def neighbors(self, u: int) -> np.ndarray:
         """Neighbour vertex ids of ``u`` (read-only view)."""
@@ -161,17 +173,21 @@ class Graph:
         return np.diff(self._indptr)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate undirected edges once each."""
-        for u, v, w in self._edge_list:
+        """Iterate undirected edges once each, in :meth:`edge_array` order."""
+        us, vs, ws = self.edge_array()
+        for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist()):
             yield Edge(u, v, w)
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(u, v, w)`` arrays, one entry per undirected edge."""
-        if not self._edge_list:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        arr = np.asarray(self._edge_list, dtype=np.float64)
-        return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
+        """Return ``(u, v, w)`` arrays, one entry per undirected edge.
+
+        Edges are sorted by ``(u, v)`` with ``u < v``: the CSR upper
+        triangle read row by row.  The arrays are fresh copies, so callers
+        may modify them.
+        """
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
+        upper = self._dst > src
+        return src[upper], self._dst[upper], self._wgt[upper]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors(u)
@@ -209,7 +225,8 @@ class Graph:
 
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
-        g.add_weighted_edges_from(self._edge_list)
+        us, vs, ws = self.edge_array()
+        g.add_weighted_edges_from(zip(us.tolist(), vs.tolist(), ws.tolist()))
         if self.coords is not None:
             for i in range(self.n):
                 g.nodes[i]["pos"] = tuple(self.coords[i])
@@ -220,20 +237,33 @@ class Graph:
 
         Returns the subgraph (with vertices relabelled ``0..k-1`` in the
         given order) and the array mapping new ids back to original ids.
+        Only the selected CSR rows are read, so a call costs
+        ``O(k log k + sum of their degrees)`` however large the graph.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             raise GraphError("subgraph needs at least one vertex")
-        local = {int(v): i for i, v in enumerate(vertices)}
-        if len(local) != vertices.size:
+        if vertices.min() < 0 or vertices.max() >= self.n:
+            raise GraphError(f"subgraph vertex ids out of range for n={self.n}")
+        by_id = np.argsort(vertices, kind="stable")
+        sorted_ids = vertices[by_id]
+        if (sorted_ids[1:] == sorted_ids[:-1]).any():
             raise GraphError("subgraph vertex list contains duplicates")
-        edges = [
-            (local[u], local[v], w)
-            for u, v, w in self._edge_list
-            if u in local and v in local
-        ]
+
+        starts = self._indptr[vertices]
+        counts = self._indptr[vertices + 1] - starts
+        local_u = np.repeat(np.arange(vertices.size, dtype=np.int64), counts)
+        offsets = np.cumsum(counts) - counts
+        pos = np.arange(local_u.size, dtype=np.int64) + np.repeat(starts - offsets, counts)
+        nbrs = self._dst[pos]
+        slot = np.minimum(np.searchsorted(sorted_ids, nbrs), vertices.size - 1)
+        local_v = by_id[slot]
+        keep = (sorted_ids[slot] == nbrs) & (local_u < local_v)
+        table = np.column_stack(
+            [local_u[keep], local_v[keep], self._wgt[pos[keep]]]
+        ).astype(np.float64)
         coords = self.coords[vertices] if self.coords is not None else None
-        return Graph(vertices.size, edges, coords=coords), vertices
+        return Graph(vertices.size, table, coords=coords), vertices
 
     # ------------------------------------------------------------------
     # structure queries
@@ -258,7 +288,8 @@ class Graph:
 
     def total_weight(self) -> float:
         """Sum of all undirected edge weights."""
-        return float(sum(w for _, _, w in self._edge_list))
+        # Python's sum adds left to right, in edge order.
+        return float(sum(self.edge_array()[2].tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self.n}, m={self.m})"

@@ -160,17 +160,14 @@ class PartitionHierarchy:
         return [c for c in cells if c.size > 0]
 
     def _compute_ancestor_rows(self) -> np.ndarray:
+        # Each level partitions the vertex set and cells nest, so a vertex's
+        # ancestor at ``level`` is the level's cell that contains it.
         depth = self.num_subgraph_levels
         rows = np.empty((self.graph.n, depth + 1), dtype=np.int64)
-        for node_id in self.levels[depth]:
-            node = self.nodes[node_id]
-            v = int(node.vertices[0])
-            rows[v, depth] = node.row
-            cursor = node.parent
-            for level in range(depth - 1, -1, -1):
-                parent = self.nodes[cursor]
-                rows[v, level] = parent.row
-                cursor = parent.parent
+        for level, ids in enumerate(self.levels):
+            for node_id in ids:
+                node = self.nodes[node_id]
+                rows[node.vertices, level] = node.row
         return rows
 
     # ------------------------------------------------------------------
@@ -181,7 +178,9 @@ class PartitionHierarchy:
 
         ``anc_rows`` fully determines the tree (levels, rows, nesting), so
         a trained model can be persisted as plain arrays and revived
-        without re-running the partitioner.
+        without re-running the partitioner.  Raises ``ValueError`` unless
+        each level's rows are ``0..k-1`` and every cell lies inside one
+        cell of the level above.
         """
         anc_rows = np.asarray(anc_rows, dtype=np.int64)
         if anc_rows.shape[0] != graph.n or anc_rows.ndim != 2:
@@ -200,22 +199,28 @@ class PartitionHierarchy:
         self.levels = [[] for _ in range(depth + 1)]
         self.anc_rows = anc_rows
 
-        # Create nodes level by level; identify each node by its row.
-        node_at: list[dict[int, int]] = [dict() for _ in range(depth + 1)]
+        # One stable sort per level groups each row's vertices, ascending.
         for level in range(depth + 1):
-            rows = anc_rows[:, level]
-            for row in np.unique(rows):
-                vertices = np.nonzero(rows == row)[0].astype(np.int64)
+            order = np.argsort(anc_rows[:, level], kind="stable")
+            rows = anc_rows[order, level]
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            if not np.array_equal(rows[starts], np.arange(starts.size)):
+                raise ValueError(f"anc_rows rows at level {level} are not contiguous")
+            if level > 0:
+                parents = anc_rows[order, level - 1]
+                split = parents[1:] != parents[:-1]
+                split[starts[1:] - 1] = False
+                if split.any():
+                    row = int(rows[int(np.argmax(split)) + 1])
+                    raise ValueError(
+                        f"anc_rows are not nested: row {row} at level {level} "
+                        f"spans several level-{level - 1} cells"
+                    )
+            for vertices in np.split(order, starts[1:]):
                 parent = None
                 if level > 0:
-                    parent_row = int(anc_rows[vertices[0], level - 1])
-                    parent = self.levels[level - 1][parent_row]
-                node = self._new_node(level, parent, vertices)
-                node_at[level][int(row)] = node.id
-                if node.row != int(row):
-                    raise ValueError(
-                        f"anc_rows rows at level {level} are not contiguous"
-                    )
+                    parent = self.levels[level - 1][int(anc_rows[vertices[0], level - 1])]
+                self._new_node(level, parent, vertices)
         return self
 
     @property

@@ -16,6 +16,33 @@ This module implements that scheme from scratch:
 recursively for arbitrary ``k``.  Both operate on vertex-weighted graphs so
 that recursion and coarsening preserve balance in terms of original
 vertices.
+
+Array layout
+------------
+Every level is a :class:`_WeightedGraph` in CSR form: row ``u`` lists its
+neighbours in ``adj[indptr[u]:indptr[u + 1]]`` with the edge weights at the
+same positions of ``adjw``; ``vwgt[u]`` counts the original vertices merged
+into ``u``.  Coarsening and refinement are numpy passes over these arrays.
+Heavy-edge matching and region growing stay sequential, over Python lists
+taken from them.
+
+Identity contract
+-----------------
+Ties decide the result: matching takes the first heaviest neighbour, region
+growing the first strongest frontier vertex, refinement the lowest-id vertex
+of best gain, and near-equal sums can swap any of these.  The arrays
+therefore fix two things, so that a seed always gives the same partition:
+
+* **Neighbour order.**  ``from_graph`` lists each row by ascending id.
+  ``_contract`` lists coarse neighbours in the order their pair is first
+  met when scanning fine vertices ``u`` ascending, each row in order, and
+  keeping only edges ``u < v``.
+* **Sequential sums.**  Every edge-weight or gain sum adds its terms left to
+  right from 0.0, in row order: ``np.bincount(..., weights=)`` does this;
+  ``np.sum`` and ``np.add.reduceat`` switch to pairwise summation above 8
+  terms and may round differently.  Refinement recomputes a vertex's sums
+  from scratch after a move instead of adding ``±w`` deltas, which round
+  differently too.
 """
 
 from __future__ import annotations
@@ -36,25 +63,31 @@ class _Level:
 
 
 class _WeightedGraph:
-    """Internal adjacency-list graph with vertex weights (merge counts)."""
+    """CSR graph with vertex weights (merge counts); see the module notes."""
 
     def __init__(
         self,
-        n: int,
-        adj: list[dict[int, float]],
+        indptr: np.ndarray,
+        adj: np.ndarray,
+        adjw: np.ndarray,
         vwgt: np.ndarray,
     ) -> None:
-        self.n = n
+        self.n = int(vwgt.size)
+        self.indptr = indptr
         self.adj = adj
+        self.adjw = adjw
         self.vwgt = vwgt
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "_WeightedGraph":
-        adj: list[dict[int, float]] = [dict() for _ in range(graph.n)]
-        for e in graph.edges():
-            adj[e.u][e.v] = adj[e.u].get(e.v, 0.0) + e.weight
-            adj[e.v][e.u] = adj[e.v].get(e.u, 0.0) + e.weight
-        return cls(graph.n, adj, np.ones(graph.n, dtype=np.float64))
+        indptr, dst, wgt = graph.csr_arrays()
+        src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(indptr))
+        order = np.lexsort((dst, src))
+        return cls(indptr, dst[order], wgt[order], np.ones(graph.n, dtype=np.float64))
+
+    def row_ids(self) -> np.ndarray:
+        """Source vertex of every adjacency entry."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     def total_vwgt(self) -> float:
         return float(self.vwgt.sum())
@@ -69,48 +102,51 @@ def _heavy_edge_matching(
     unmatched).  Heavier edges are contracted first because collapsing them
     loses the least cut information.
     """
-    match = np.full(wg.n, -1, dtype=np.int64)
-    order = rng.permutation(wg.n)
-    for u in order:
+    ptr, adj, adjw = wg.indptr.tolist(), wg.adj.tolist(), wg.adjw.tolist()
+    match = [-1] * wg.n
+    for u in rng.permutation(wg.n).tolist():
         if match[u] != -1:
             continue
-        best, best_w = -1, -1.0
-        for v, w in wg.adj[u].items():
-            if match[v] == -1 and w > best_w:
-                best, best_w = v, w
-        if best == -1:
-            match[u] = u
-        else:
-            match[u] = best
-            match[best] = u
-    return match
+        best, best_w = u, -1.0
+        for i in range(ptr[u], ptr[u + 1]):
+            v = adj[i]
+            if match[v] == -1 and adjw[i] > best_w:
+                best, best_w = v, adjw[i]
+        match[u] = best
+        match[best] = u
+    return np.array(match, dtype=np.int64)
 
 
 def _contract(wg: _WeightedGraph, match: np.ndarray) -> _Level:
     """Build the coarse graph induced by a matching."""
-    fine_to_coarse = np.full(wg.n, -1, dtype=np.int64)
-    nxt = 0
-    for u in range(wg.n):
-        if fine_to_coarse[u] != -1:
-            continue
-        fine_to_coarse[u] = nxt
-        partner = match[u]
-        if partner != u:
-            fine_to_coarse[partner] = nxt
-        nxt += 1
+    # Coarse ids follow the pairs' leaders (their smaller vertex) in order.
+    fine = np.arange(wg.n, dtype=np.int64)
+    leader_rank = np.cumsum(match >= fine) - 1
+    fine_to_coarse = leader_rank[np.minimum(fine, match)]
+    nc = int(leader_rank[-1]) + 1
+    vwgt = np.bincount(fine_to_coarse, weights=wg.vwgt, minlength=nc)
 
-    vwgt = np.zeros(nxt, dtype=np.float64)
-    np.add.at(vwgt, fine_to_coarse, wg.vwgt)
-    adj: list[dict[int, float]] = [dict() for _ in range(nxt)]
-    for u in range(wg.n):
-        cu = fine_to_coarse[u]
-        for v, w in wg.adj[u].items():
-            cv = fine_to_coarse[v]
-            if cu == cv or u > v:
-                continue
-            adj[cu][cv] = adj[cu].get(cv, 0.0) + w
-            adj[cv][cu] = adj[cv].get(cu, 0.0) + w
-    return _Level(_WeightedGraph(nxt, adj, vwgt), fine_to_coarse)
+    # Each fine edge u < v joining two coarse vertices adds its weight to
+    # both directions of its coarse pair.  Interleaving the two directions
+    # keeps array order equal to scan order, so a stable sort by pair lists
+    # each pair's contributions in the order they are met.
+    src = wg.row_ids()
+    cu, cv = fine_to_coarse[src], fine_to_coarse[wg.adj]
+    cross = (src < wg.adj) & (cu != cv)
+    cu, cv, w = cu[cross], cv[cross], wg.adjw[cross]
+    rows = np.column_stack([cu, cv]).ravel()
+    cols = np.column_stack([cv, cu]).ravel()
+    pair = rows * nc + cols
+    order = np.argsort(pair, kind="stable")
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = pair[order[1:]] != pair[order[:-1]]
+    sums = np.bincount(np.cumsum(first) - 1, weights=np.repeat(w, 2)[order])
+    seen = order[first]  # where each pair is first met
+    by_seen = np.lexsort((seen, rows[seen]))
+    indptr = np.zeros(nc + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[seen], minlength=nc), out=indptr[1:])
+    coarse = _WeightedGraph(indptr, cols[seen][by_seen], sums[by_seen], vwgt)
+    return _Level(coarse, fine_to_coarse)
 
 
 def _initial_bisection(
@@ -118,26 +154,31 @@ def _initial_bisection(
 ) -> np.ndarray:
     """Greedy region growing: grow part 0 from a random seed until it holds
     ``target_frac`` of the total vertex weight."""
+    ptr, adj, adjw = wg.indptr.tolist(), wg.adj.tolist(), wg.adjw.tolist()
+    vwgt = wg.vwgt.tolist()
     total = wg.total_vwgt()
     side = np.ones(wg.n, dtype=np.int8)
     seed = int(rng.integers(wg.n))
     frontier = [seed]
-    in_part = np.zeros(wg.n, dtype=bool)
+    in_part = [False] * wg.n
+    # conn[u]: weight from u into part 0, summed in row order; it changes
+    # only when a neighbour of u joins, and is then summed afresh.
+    conn = [0.0] * wg.n
     grown = 0.0
     while frontier and grown < target_frac * total:
         # Pull the frontier vertex with the strongest connection to part 0.
         best_i, best_gain = 0, -np.inf
         for i, u in enumerate(frontier):
-            gain = sum(w for v, w in wg.adj[u].items() if in_part[v])
-            if gain > best_gain:
-                best_i, best_gain = i, gain
+            if conn[u] > best_gain:
+                best_i, best_gain = i, conn[u]
         u = frontier.pop(best_i)
         if in_part[u]:
             continue
         in_part[u] = True
         side[u] = 0
-        grown += wg.vwgt[u]
-        for v in wg.adj[u]:
+        grown += vwgt[u]
+        for v in adj[ptr[u] : ptr[u + 1]]:
+            conn[v] = sum(adjw[j] for j in range(ptr[v], ptr[v + 1]) if in_part[adj[j]])
             if not in_part[v]:
                 frontier.append(v)
     # Unreached vertices of a disconnected graph fall to part 1, which is
@@ -156,8 +197,11 @@ def _refine(
     """Boundary KL/FM refinement.
 
     Repeatedly moves the boundary vertex with the best cut-gain whose move
-    keeps both sides within ``imbalance`` of their target weights.  Each
-    pass visits every boundary vertex at most once (FM-style locking).
+    keeps both sides within ``imbalance`` of their target weights; ties go
+    to the lowest id.  Each pass visits every boundary vertex at most once
+    (FM-style locking).  ``gain`` is external minus internal edge weight,
+    kept per vertex and recomputed in row order for the moved vertex and
+    its neighbours.
     """
     total = wg.total_vwgt()
     target0 = target_frac * total
@@ -165,41 +209,44 @@ def _refine(
     high0 = target0 * (1.0 + imbalance)
     weight0 = float(wg.vwgt[side == 0].sum())
 
+    src = wg.row_ids()
+    same = side[src] == side[wg.adj]
+    internal = np.bincount(src, weights=np.where(same, wg.adjw, 0.0), minlength=wg.n)
+    external = np.bincount(src, weights=np.where(same, 0.0, wg.adjw), minlength=wg.n)
+    gain = external - internal
+    ptr, adj, adjw = wg.indptr.tolist(), wg.adj.tolist(), wg.adjw.tolist()
+    sides = side.tolist()
+
     for _ in range(passes):
         moved_any = False
         locked = np.zeros(wg.n, dtype=bool)
+        # A positive gain implies external weight, i.e. a boundary vertex.
+        movable = gain > 0.0
         while True:
-            best_u, best_gain = -1, 0.0
-            for u in range(wg.n):
-                if locked[u]:
-                    continue
-                internal = external = 0.0
-                for v, w in wg.adj[u].items():
-                    if side[v] == side[u]:
-                        internal += w
-                    else:
-                        external += w
-                if external == 0.0:
-                    continue  # not a boundary vertex
-                gain = external - internal
-                if side[u] == 0:
-                    new_w0 = weight0 - wg.vwgt[u]
-                else:
-                    new_w0 = weight0 + wg.vwgt[u]
-                if not (low0 <= new_w0 <= high0):
-                    continue
-                if gain > best_gain:
-                    best_u, best_gain = u, gain
-            if best_u == -1:
+            cand = np.flatnonzero(movable)
+            vw = wg.vwgt[cand]
+            new_w0 = np.where(side[cand] == 0, weight0 - vw, weight0 + vw)
+            cand = cand[(low0 <= new_w0) & (new_w0 <= high0)]
+            if cand.size == 0:
                 break
-            if side[best_u] == 0:
-                weight0 -= wg.vwgt[best_u]
-                side[best_u] = 1
+            u = int(cand[np.argmax(gain[cand])])
+            if sides[u] == 0:
+                weight0 -= wg.vwgt[u]
             else:
-                weight0 += wg.vwgt[best_u]
-                side[best_u] = 0
-            locked[best_u] = True
+                weight0 += wg.vwgt[u]
+            sides[u] = 1 - sides[u]
+            side[u] = sides[u]
+            locked[u] = True
             moved_any = True
+            for x in [u] + adj[ptr[u] : ptr[u + 1]]:
+                inside = outside = 0.0
+                for j in range(ptr[x], ptr[x + 1]):
+                    if sides[adj[j]] == sides[x]:
+                        inside += adjw[j]
+                    else:
+                        outside += adjw[j]
+                gain[x] = outside - inside
+                movable[x] = not locked[x] and gain[x] > 0.0
         if not moved_any:
             break
     return side

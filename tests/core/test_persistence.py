@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import RNE, RNEConfig, build_rne
 from repro.graph import PartitionHierarchy
+from repro.reliability.artifacts import ArtifactError, save_artifact
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,25 @@ class TestHierarchyReconstruction:
         rows = np.zeros((medium_grid.n, 2), dtype=int)
         with pytest.raises(ValueError):
             PartitionHierarchy.from_ancestor_rows(medium_grid, rows)
+
+    def test_load_rejects_non_nested_hierarchy(self, rne, medium_grid, tmp_path):
+        # One vertex of a level-1 cell gets another level-0 row: every
+        # level stays contiguous, but the cells no longer nest.
+        rows = rne.hierarchy.anc_rows.copy()
+        assert rows.shape[1] >= 3
+        cell = next(c for c in rne.hierarchy.cells(1) if c.size >= 2)
+        v = int(cell[-1])
+        rows[v, 0] = (rows[v, 0] + 1) % rne.hierarchy.level_size(0)
+        path = tmp_path / "bad.npz"
+        save_artifact(
+            path,
+            {"matrix": rne.model.matrix, "p": np.float64(rne.model.p), "anc_rows": rows},
+            kind="rne",
+            graph=medium_grid,
+            meta={"version": 1},
+        )
+        with pytest.raises(ArtifactError, match="not nested"):
+            RNE.load(path, medium_grid)
 
 
 class TestKnnJoin:

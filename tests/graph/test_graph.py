@@ -57,6 +57,46 @@ class TestConstruction:
         assert g.degree(2) == 0
         assert g.degree(3) == 0
 
+    def test_edges_must_be_triples(self):
+        with pytest.raises(GraphError):
+            Graph(3, [(0, 1), (1, 2), (2, 0)])
+
+    def test_array_edges_match_tuple_edges(self):
+        triples = [(2, 0, 1.5), (0, 1, 2.0), (1, 2, 0.5), (1, 0, 1.0)]
+        a = Graph(3, triples)
+        b = Graph(3, np.array(triples))
+        for x, y in zip(a.csr_arrays(), b.csr_arrays()):
+            np.testing.assert_array_equal(x, y)
+
+
+class TestErrorMessages:
+    """With several bad edges, the error names the first in input order."""
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1, 1.0), (1, 1, 2.0), (0, 5, 1.0), (0, 2, -1.0)],
+             "self-loop at vertex 1 is not allowed"),
+            ([(0, 1, 1.0), (0, 9, 1.0), (1, 1, 2.0)],
+             "edge (0, 9) out of range for n=3"),
+            ([(0, 2, -1.0), (0, 9, 1.0), (2, 2, 1.0)],
+             "edge (0, 2) has non-positive weight -1.0"),
+            ([(0, 1, 1.0), (1, 2, float("nan")), (0, 0, 1.0)],
+             "edge (1, 2) has non-positive weight nan"),
+            ([(0, 1, float("inf")), (-1, 2, 1.0)],
+             "edge (0, 1) has non-positive weight inf"),
+            ([(0, 1, 1.0), (-1, 2, 1.0), (0, 1, 0.0)],
+             "edge (-1, 2) out of range for n=3"),
+            # Range is checked before the self-loop and the weight.
+            ([(4, 4, -1.0)], "edge (4, 4) out of range for n=3"),
+            ([(2, 2, 0.0)], "self-loop at vertex 2 is not allowed"),
+        ],
+    )
+    def test_first_offending_edge_named(self, edges, message):
+        with pytest.raises(GraphError) as info:
+            Graph(3, edges)
+        assert str(info.value) == message
+
 
 class TestAccessors:
     def test_neighbors_symmetric(self, tiny_graph):
@@ -95,6 +135,25 @@ class TestAccessors:
         g = Graph(3, [])
         us, vs, ws = g.edge_array()
         assert us.size == vs.size == ws.size == 0
+
+    def test_edge_array_sorted_upper_triangle(self):
+        g = Graph(4, [(3, 0, 1.0), (2, 1, 2.0), (0, 1, 3.0), (1, 3, 4.0)])
+        us, vs, ws = g.edge_array()
+        assert list(zip(us.tolist(), vs.tolist(), ws.tolist())) == [
+            (0, 1, 3.0), (0, 3, 1.0), (1, 2, 2.0), (1, 3, 4.0)
+        ]
+        assert [tuple(vars(e).values()) for e in g.edges()] == [
+            (0, 1, 3.0), (0, 3, 1.0), (1, 2, 2.0), (1, 3, 4.0)
+        ]
+
+    def test_edge_array_is_a_fresh_copy(self, tiny_graph):
+        us, vs, ws = tiny_graph.edge_array()
+        us[:] = 0
+        ws *= 10.0
+        us2, _, ws2 = tiny_graph.edge_array()
+        assert us2[-1] == 10
+        assert tiny_graph.edge_weight(0, 1) == 3.0
+        assert ws2[0] == 3.0
 
     def test_has_edge(self, tiny_graph):
         assert tiny_graph.has_edge(0, 1)
@@ -145,6 +204,23 @@ class TestConversions:
     def test_subgraph_empty_rejected(self, tiny_graph):
         with pytest.raises(GraphError):
             tiny_graph.subgraph([])
+
+    def test_subgraph_negative_id_rejected(self, tiny_graph):
+        with pytest.raises(GraphError, match="out of range"):
+            tiny_graph.subgraph([0, 1, -1])
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_subgraph_out_of_range_rejected_without_coords(self, bad):
+        g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(GraphError, match="out of range"):
+            g.subgraph([0, 1, bad])
+
+    def test_subgraph_unsorted_order(self, tiny_graph):
+        sub, mapping = tiny_graph.subgraph([3, 0, 2, 1])
+        np.testing.assert_array_equal(mapping, [3, 0, 2, 1])
+        assert sub.m == 4
+        for u, v, w in zip(*sub.edge_array()):
+            assert w == tiny_graph.edge_weight(int(mapping[u]), int(mapping[v]))
 
 
 class TestStructure:

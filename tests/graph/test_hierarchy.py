@@ -104,3 +104,50 @@ class TestStructure:
         assert h.root_ids() == h.levels[0]
         for node_id in h.root_ids():
             assert h.nodes[node_id].parent is None
+
+
+def _non_nested_rows(h: PartitionHierarchy) -> np.ndarray:
+    """``h.anc_rows`` with one vertex of a level-1 cell moved to another
+    level-0 cell, keeping every level's rows contiguous."""
+    rows = h.anc_rows.copy()
+    cell = next(c for c in h.cells(1) if c.size >= 2)
+    v = int(cell[-1])
+    rows[v, 0] = (rows[v, 0] + 1) % h.level_size(0)
+    return rows
+
+
+class TestFromAncestorRows:
+    @pytest.mark.parametrize(
+        "kwargs", [dict(fanout=4, leaf_size=8, seed=0), dict(fanout=3, leaf_size=4, seed=2)]
+    )
+    def test_nodes_identical_to_built_tree(self, small_grid, kwargs):
+        built = PartitionHierarchy(small_grid, **kwargs)
+        revived = PartitionHierarchy.from_ancestor_rows(small_grid, built.anc_rows)
+        assert revived.levels == built.levels
+        assert len(revived.nodes) == len(built.nodes)
+        for a, b in zip(revived.nodes, built.nodes):
+            assert (a.id, a.level, a.row, a.parent, a.children) == (
+                b.id, b.level, b.row, b.parent, b.children
+            )
+            np.testing.assert_array_equal(a.vertices, b.vertices)
+        np.testing.assert_array_equal(revived.anc_rows, built.anc_rows)
+
+    def test_single_level(self, line_graph):
+        rows = np.column_stack([np.zeros(5, dtype=int), np.arange(5)])
+        h = PartitionHierarchy.from_ancestor_rows(line_graph, rows)
+        h.validate()
+        assert h.level_sizes() == [1, 5]
+        assert h.nodes[0].children == list(range(1, 6))
+
+    def test_non_nested_rows_rejected(self, small_grid):
+        h = PartitionHierarchy(small_grid, fanout=4, leaf_size=8, seed=0)
+        assert h.num_subgraph_levels >= 2
+        with pytest.raises(ValueError, match="not nested"):
+            PartitionHierarchy.from_ancestor_rows(small_grid, _non_nested_rows(h))
+
+    def test_gap_in_rows_rejected(self, small_grid):
+        h = PartitionHierarchy(small_grid, fanout=4, leaf_size=8, seed=0)
+        rows = h.anc_rows.copy()
+        rows[:, 0] *= 2
+        with pytest.raises(ValueError, match="not contiguous"):
+            PartitionHierarchy.from_ancestor_rows(small_grid, rows)

@@ -83,3 +83,122 @@ class TestKway:
         g = Graph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
         labels = partition_kway(g, 2, seed=0)
         assert set(np.unique(labels)) == {0, 1}
+
+
+# ----------------------------------------------------------------------
+# Dict-of-dicts reference: the partitioner's kernels as plain loops over
+# insertion-ordered adjacency dicts.  The array kernels must reproduce
+# them exactly (same matches, same coarse rows and sums, same sides).
+# ----------------------------------------------------------------------
+def _dict_adj(wg):
+    return [
+        dict(zip(wg.adj[wg.indptr[u]:wg.indptr[u + 1]].tolist(),
+                 wg.adjw[wg.indptr[u]:wg.indptr[u + 1]].tolist()))
+        for u in range(wg.n)
+    ]
+
+
+def _ref_matching(adj, rng):
+    match = np.full(len(adj), -1, dtype=np.int64)
+    for u in rng.permutation(len(adj)):
+        if match[u] != -1:
+            continue
+        best, best_w = -1, -1.0
+        for v, w in adj[u].items():
+            if match[v] == -1 and w > best_w:
+                best, best_w = v, w
+        match[u] = u if best == -1 else best
+        if best != -1:
+            match[best] = u
+    return match
+
+
+def _ref_contract(adj, match):
+    f2c = np.full(len(adj), -1, dtype=np.int64)
+    nxt = 0
+    for u in range(len(adj)):
+        if f2c[u] == -1:
+            f2c[u] = f2c[match[u]] = nxt
+            nxt += 1
+    coarse = [dict() for _ in range(nxt)]
+    for u in range(len(adj)):
+        for v, w in adj[u].items():
+            cu, cv = f2c[u], f2c[v]
+            if cu != cv and u < v:
+                coarse[cu][cv] = coarse[cu].get(cv, 0.0) + w
+                coarse[cv][cu] = coarse[cv].get(cu, 0.0) + w
+    return coarse, f2c
+
+
+def _ref_refine(adj, vwgt, side, target_frac, passes=4, imbalance=0.1):
+    total = float(vwgt.sum())
+    low0 = target_frac * total * (1.0 - imbalance)
+    high0 = target_frac * total * (1.0 + imbalance)
+    weight0 = float(vwgt[side == 0].sum())
+    for _ in range(passes):
+        locked = np.zeros(len(adj), dtype=bool)
+        moved_any = False
+        while True:
+            best_u, best_gain = -1, 0.0
+            for u in range(len(adj)):
+                if locked[u]:
+                    continue
+                internal = external = 0.0
+                for v, w in adj[u].items():
+                    if side[v] == side[u]:
+                        internal += w
+                    else:
+                        external += w
+                new_w0 = weight0 - vwgt[u] if side[u] == 0 else weight0 + vwgt[u]
+                gain = external - internal
+                if external != 0.0 and low0 <= new_w0 <= high0 and gain > best_gain:
+                    best_u, best_gain = u, gain
+            if best_u == -1:
+                break
+            weight0 += -vwgt[best_u] if side[best_u] == 0 else vwgt[best_u]
+            side[best_u] = 1 - side[best_u]
+            locked[best_u] = moved_any = True
+        if not moved_any:
+            break
+    return side
+
+
+def _tie_heavy_graphs():
+    rng = np.random.default_rng(5)
+    for i in range(12):
+        n = int(rng.integers(20, 160))
+        m = 4 * n
+        u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+        w = rng.choice([0.1, 0.2, 0.3, 1.0 / 3.0, 1.0], m)
+        keep = u != v
+        yield Graph(n, zip(u[keep], v[keep], w[keep]))
+    yield grid_city(14, 14, seed=3)
+
+
+class TestArrayKernelsMatchDictReference:
+    def test_matching_contract_and_refine(self):
+        from repro.graph.partition import (
+            _WeightedGraph,
+            _contract,
+            _heavy_edge_matching,
+            _refine,
+        )
+
+        for g in _tie_heavy_graphs():
+            wg = _WeightedGraph.from_graph(g)
+            for _ in range(3):  # walk down the coarsening levels
+                adj = _dict_adj(wg)
+                match = _heavy_edge_matching(wg, np.random.default_rng(wg.n))
+                np.testing.assert_array_equal(
+                    match, _ref_matching(adj, np.random.default_rng(wg.n))
+                )
+                for frac in (0.5, 0.3):
+                    side = (np.arange(wg.n) % 3 == 0).astype(np.int8)
+                    expected = _ref_refine(adj, wg.vwgt, side.copy(), frac)
+                    np.testing.assert_array_equal(_refine(wg, side, frac), expected)
+                level = _contract(wg, match)
+                coarse, f2c = _ref_contract(adj, match)
+                np.testing.assert_array_equal(level.fine_to_coarse, f2c)
+                got = _dict_adj(level.graph)
+                assert [list(r.items()) for r in got] == [list(r.items()) for r in coarse]
+                wg = level.graph
