@@ -142,12 +142,16 @@ def sssp_rows(matrix: sparse.csr_matrix, sources: np.ndarray) -> np.ndarray:
     the :mod:`repro.parallel` worker processes — both call exactly this
     function on bit-identical CSR arrays, which is what makes the parallel
     gather bit-identical to the serial one regardless of worker count.
+
+    The matrix already stores both directions of every edge, so it runs in
+    scipy's directed mode: the undirected mode would build a transpose and
+    relax every arc twice, for the same distances.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         return np.empty((0, int(matrix.shape[0])), dtype=np.float64)
     return np.asarray(
-        csgraph.dijkstra(matrix, directed=False, indices=sources),
+        csgraph.dijkstra(matrix, directed=True, indices=sources),
         dtype=np.float64,
     )
 

@@ -13,6 +13,8 @@ selection (Sec. V-B).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..graph import Graph
@@ -25,8 +27,14 @@ def select_landmarks(
     *,
     strategy: str = "farthest",
     seed: int | np.random.Generator | None = None,
+    sssp_row: Callable[[int], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Choose ``k`` landmark vertices.
+
+    ``sssp_row(v)`` supplies the distance row from ``v`` that the
+    ``"farthest"`` strategy needs for each landmark; by default it runs
+    one SSSP.  Passing a labeler's cached ``row`` lets the landmark samples
+    that follow reuse those rows instead of recomputing them.
 
     Strategies
     ----------
@@ -48,16 +56,21 @@ def select_landmarks(
     if strategy == "degree":
         return np.argsort(-graph.degrees(), kind="stable")[:k].astype(np.int64)
     if strategy == "farthest":
-        return _farthest_selection(graph, k, rng)
+        return _farthest_selection(
+            graph, k, rng, sssp_row or (lambda v: sssp_many(graph, [v])[0])
+        )
     raise ValueError(f"unknown landmark strategy {strategy!r}")
 
 
 def _farthest_selection(
-    graph: Graph, k: int, rng: np.random.Generator
+    graph: Graph,
+    k: int,
+    rng: np.random.Generator,
+    sssp_row: Callable[[int], np.ndarray],
 ) -> np.ndarray:
     first = int(rng.integers(graph.n))
     landmarks = [first]
-    min_dist = sssp_many(graph, [first])[0]
+    min_dist = sssp_row(first)
     min_dist = np.where(np.isfinite(min_dist), min_dist, -1.0)
     while len(landmarks) < k:
         nxt = int(np.argmax(min_dist))
@@ -68,7 +81,7 @@ def _farthest_selection(
             landmarks.extend(int(v) for v in fill)
             break
         landmarks.append(nxt)
-        dist = sssp_many(graph, [nxt])[0]
+        dist = sssp_row(nxt)
         dist = np.where(np.isfinite(dist), dist, -1.0)
         min_dist = np.minimum(min_dist, dist)
         min_dist[nxt] = 0.0
@@ -90,10 +103,19 @@ class LTEstimator:
         strategy: str = "farthest",
         seed: int | np.random.Generator | None = None,
     ) -> None:
+        # Farthest-point selection already computes every landmark's row;
+        # keep them for the table instead of running each SSSP twice.
+        rows: dict[int, np.ndarray] = {}
+
+        def row(v: int) -> np.ndarray:
+            if v not in rows:
+                rows[v] = sssp_many(graph, [v])[0]
+            return rows[v]
+
         self.landmarks = select_landmarks(
-            graph, num_landmarks, strategy=strategy, seed=seed
+            graph, num_landmarks, strategy=strategy, seed=seed, sssp_row=row
         )
-        self.table = sssp_many(graph, self.landmarks)
+        self.table = np.vstack([row(int(v)) for v in self.landmarks])
 
     @property
     def num_landmarks(self) -> int:

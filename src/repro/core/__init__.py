@@ -30,6 +30,7 @@ from .sampling import (
     error_based_samples,
     landmark_samples,
     random_pair_samples,
+    source_set,
     subgraph_level_samples,
     validation_set,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "lp_gradient",
     "random_pair_samples",
     "relative_errors",
+    "source_set",
     "subgraph_level_samples",
     "train_flat",
     "train_hierarchical",

@@ -63,6 +63,7 @@ from .sampling import (
     GridBuckets,
     landmark_samples,
     random_pair_samples,
+    source_set,
     stage_rng as _stage_rng,
     subgraph_level_samples,
     validation_set,
@@ -367,10 +368,14 @@ def build_rne(
             hmodel = HierarchicalRNE.flat(
                 rng.normal(scale=scale, size=(graph.n, config.d)), p=config.p
             )
-        stages = _stage_table(graph, config, hierarchy, hmodel.num_levels, labeler)
+        # One labelling source set for every stage, from its own stream.
+        sources = source_set(graph, hierarchy, _stage_rng(config.seed, "sources"))
+        stages = _stage_table(
+            graph, config, hierarchy, hmodel.num_levels, labeler, sources
+        )
         _run_stages(
             stages, graph, config, hmodel, rng, labeler, history, val_pairs,
-            val_phi, manager=manager, resume=resume,
+            val_phi, sources, manager=manager, resume=resume,
         )
         history.labeling = labeler.snapshot()
     finally:
@@ -498,6 +503,7 @@ def _stage_table(
     hierarchy: PartitionHierarchy | None,
     num_levels: int,
     labeler: DistanceLabeler,
+    sources: np.ndarray,
 ) -> list[_Stage]:
     """Algorithm 1 as data: the training steps :func:`_run_stages` runs.
 
@@ -506,6 +512,9 @@ def _stage_table(
     Without one (``hierarchical=False``, RNE-Naive) the one-level model
     has a single step on random pairs.  Either arm ends with active
     fine-tuning when ``active`` is set and the graph has coordinates.
+    Every sampling step draws its sources from ``sources`` (the build's
+    :func:`~repro.core.sampling.source_set`); the vertex step's sources
+    are the landmarks, whose selection rows go through the labeler's cache.
     """
     seed = config.seed
     stages: list[_Stage] = []
@@ -516,7 +525,8 @@ def _stage_table(
         stages.append(_Stage(
             "flat",
             lambda: random_pair_samples(
-                graph, budget, labeler, _stage_rng(seed, "flat")
+                graph, budget, labeler, _stage_rng(seed, "flat"),
+                candidates=sources,
             ),
             np.ones(1, dtype=np.float64),
             config.hier_epochs + config.vertex_epochs,
@@ -531,7 +541,7 @@ def _stage_table(
                 name,
                 lambda _f=focus, _n=name: subgraph_level_samples(
                     hierarchy, _f, config.hier_samples_per_level, labeler,
-                    _stage_rng(seed, _n),
+                    _stage_rng(seed, _n), candidates=sources,
                 ),
                 level_schedule(focus, num_levels),
                 config.hier_epochs,
@@ -547,6 +557,7 @@ def _stage_table(
                     min(config.num_landmarks, graph.n),
                     strategy=config.landmark_strategy,
                     seed=_stage_rng(seed, "landmarks"),
+                    sssp_row=labeler.row,
                 ),
                 config.vertex_samples,
                 labeler,
@@ -561,7 +572,8 @@ def _stage_table(
             stages.append(_Stage(
                 "joint",
                 lambda: random_pair_samples(
-                    graph, config.joint_samples, labeler, _stage_rng(seed, "joint")
+                    graph, config.joint_samples, labeler, _stage_rng(seed, "joint"),
+                    candidates=sources,
                 ),
                 np.full(num_levels, config.joint_lr_weight, dtype=np.float64),
                 config.joint_epochs,
@@ -590,6 +602,7 @@ def _run_stages(
     history: BuildHistory,
     val_pairs: np.ndarray,
     val_phi: np.ndarray,
+    sources: np.ndarray,
     *,
     manager: CheckpointManager | None,
     resume: bool,
@@ -631,7 +644,9 @@ def _run_stages(
                 continue
             stage_start = time.perf_counter()
             if stage.sample is None:
-                buckets = GridBuckets(graph, config.grid_k, seed=rng)
+                buckets = GridBuckets(
+                    graph, config.grid_k, seed=rng, candidates=sources
+                )
                 outcome = run_with_recovery(
                     lambda scale, _s=stage: active_finetune(
                         tuned,

@@ -22,11 +22,15 @@ shrunk.
 
 Ground-truth labelling is the expensive part: one Dijkstra per distinct
 source.  :class:`DistanceLabeler` amortises it by grouping pairs by source
-and caching SSSP rows, and every selection strategy funnels its sources
-through small per-cell/per-grid pools so the cache actually hits.  The
-labeler exposes a ``_sssp_rows`` hook so
-:class:`repro.parallel.ParallelDistanceLabeler` can fan the SSSP runs over
-a worker pool while inheriting the cache and accounting unchanged.
+and caching SSSP rows.  A build draws one labelling source set ``S``
+(:func:`source_set`) and every stage takes its small per-cell, per-grid or
+random source pool from ``S`` (the ``candidates`` argument of the
+samplers), so later stages reuse rows earlier stages computed instead of
+meeting them only by chance.  External callers leave ``candidates`` unset,
+which makes every vertex a candidate.  The labeler exposes a
+``_sssp_rows`` hook so :class:`repro.parallel.ParallelDistanceLabeler` can
+fan the SSSP runs over a worker pool while inheriting the cache and
+accounting unchanged.
 """
 
 from __future__ import annotations
@@ -194,6 +198,56 @@ class _RaggedRows:
         return self.flat[self.offsets[idx] + rng.integers(self.sizes[idx])]
 
 
+def _candidate_mask(n: int, candidates: np.ndarray | None) -> np.ndarray:
+    """Boolean membership mask of ``candidates`` (every vertex for None)."""
+    if candidates is None:
+        return np.ones(n, dtype=bool)
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(candidates, dtype=np.int64)] = True
+    return mask
+
+
+def _group_pools(
+    groups: Sequence[np.ndarray],
+    mask: np.ndarray,
+    size: int,
+    rng: np.random.Generator,
+) -> list[np.ndarray]:
+    """Up to ``size`` members of ``group ∩ candidates`` per group, without
+    replacement; a group holding no candidate falls back to its own
+    vertices, so every group keeps a non-empty pool."""
+    pools = []
+    for group in groups:  # perf: loop-ok (one draw per cell or grid)
+        members = group[mask[group]]
+        if members.size == 0:
+            members = group
+        pools.append(rng.choice(members, size=min(size, members.size), replace=False))
+    return pools
+
+
+def source_set(
+    graph: Graph,
+    hierarchy: PartitionHierarchy | None,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The build's labelling source set ``S`` (sorted vertex ids).
+
+    ``S`` holds 4 vertices (the samplers' default ``sources_per_cell``) of
+    every cell at the finest sub-graph level.  The hierarchy is nested, so
+    every coarser cell meets ``S`` too, and the coarse levels reuse the
+    rows the finest level needs anyway.  Without a hierarchy ``S`` is a
+    uniform pool of ``min(512, n)`` vertices, the random sampler's default
+    pool size.  Every training stage draws its sources from ``S``, so a
+    build runs about ``|S|`` SSSPs for its stages.
+    """
+    if hierarchy is None:
+        pool = rng.choice(graph.n, size=min(512, graph.n), replace=False)
+        return np.sort(pool).astype(np.int64)
+    cells = hierarchy.cells(hierarchy.num_subgraph_levels - 1)
+    pools = _group_pools(cells, _candidate_mask(graph.n, None), 4, rng)
+    return np.sort(np.concatenate(pools)).astype(np.int64)
+
+
 def _budgeted_samples(
     count: int,
     draw: Callable[[int], np.ndarray],
@@ -244,23 +298,22 @@ def subgraph_level_samples(
     rng: np.random.Generator,
     *,
     sources_per_cell: int = 4,
+    candidates: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exactly ``count`` uniform cell-pair samples at ``level``
     (Algorithm 2, lines 1-5).
 
     Cell pairs are drawn uniformly (probability ``1/|P_l|^2``), then one
     vertex inside each cell.  The source-side vertex comes from a small
-    per-cell pool so labelling costs at most ``sources_per_cell * |P_l|``
-    SSSP runs regardless of ``count``; dropped candidates (self-pairs,
-    unreachable pairs) are re-drawn from the same pools.
+    per-cell pool of up to ``sources_per_cell`` members of
+    ``candidates ∩ cell`` (the cell itself when they do not meet), so
+    labelling costs at most ``sources_per_cell * |P_l|`` SSSP runs
+    regardless of ``count``; dropped candidates (self-pairs, unreachable
+    pairs) are re-drawn from the same pools.
     """
     cells = hierarchy.cells(level)
-    pools = _RaggedRows(
-        [
-            rng.choice(cell, size=min(sources_per_cell, cell.size), replace=False)
-            for cell in cells
-        ]
-    )
+    mask = _candidate_mask(hierarchy.graph.n, candidates)
+    pools = _RaggedRows(_group_pools(cells, mask, sources_per_cell, rng))
     members = _RaggedRows(list(cells))
 
     def draw(k: int) -> np.ndarray:
@@ -305,14 +358,17 @@ def random_pair_samples(
     rng: np.random.Generator,
     *,
     source_pool_size: int = 512,
+    candidates: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exactly ``count`` near-uniform random pairs with bounded labelling.
 
-    Sources come from a fresh uniform pool of ``source_pool_size`` vertices
-    (so at most that many SSSP runs); targets are fully uniform.  Used for
-    the *Random* baseline of Fig. 12 and for validation sets.
+    Sources come from a fresh uniform pool of up to ``source_pool_size``
+    of the ``candidates`` (every vertex by default), so at most that many
+    SSSP runs; targets are fully uniform.  Used for the joint stage, the
+    *Random* baseline of Fig. 12 and validation sets.
     """
-    pool = rng.choice(graph.n, size=min(source_pool_size, graph.n), replace=False)
+    ids = np.nonzero(_candidate_mask(graph.n, candidates))[0]
+    pool = rng.choice(ids, size=min(source_pool_size, ids.size), replace=False)
 
     def draw(k: int) -> np.ndarray:
         s = pool[rng.integers(pool.size, size=k)]
@@ -328,9 +384,13 @@ def validation_set(
     labeler: DistanceLabeler,
     seed: int | np.random.Generator | None = 12345,
     *,
-    source_pool_size: int = 512,
+    source_pool_size: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Held-out labelled pairs for error evaluation."""
+    """Held-out labelled pairs for error evaluation.
+
+    Targets are uniform; 64 sources cover a few thousand pairs (a build's
+    4,000, an update's 1,000) at a fraction of the SSSP cost.
+    """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return random_pair_samples(
         graph, count, labeler, rng, source_pool_size=source_pool_size
@@ -351,7 +411,9 @@ class GridBuckets:
     ``sample(bucket, count)`` draws a grid pair within the bucket with
     probability proportional to ``|g_s| * |g_t|`` (so vertex pairs inside a
     bucket are uniform), then one vertex from each grid.  Source-side
-    vertices come from fixed per-grid pools to keep labelling cheap.
+    vertices come from fixed per-grid pools of up to ``source_pool_size``
+    members of ``candidates ∩ grid`` (the grid's own vertices where they do
+    not meet) to keep labelling cheap.
     """
 
     def __init__(
@@ -361,6 +423,7 @@ class GridBuckets:
         *,
         source_pool_size: int = 4,
         seed: int | np.random.Generator | None = 0,
+        candidates: np.ndarray | None = None,
     ) -> None:
         if graph.coords is None:
             raise ValueError("GridBuckets requires vertex coordinates")
@@ -380,10 +443,13 @@ class GridBuckets:
         self.grid_vertices: dict[int, np.ndarray] = {}
         for g in np.unique(self.vertex_grid):
             self.grid_vertices[int(g)] = np.nonzero(self.vertex_grid == g)[0]
-        self._pools = {
-            g: rng.choice(v, size=min(source_pool_size, v.size), replace=False)
-            for g, v in self.grid_vertices.items()
-        }
+        # One source pool per occupied grid, in ascending grid order.
+        pools = _group_pools(
+            list(self.grid_vertices.values()),
+            _candidate_mask(graph.n, candidates),
+            source_pool_size,
+            rng,
+        )
 
         # Enumerate ordered non-empty grid pairs into buckets.
         self.num_buckets = 2 * k - 1
@@ -399,7 +465,7 @@ class GridBuckets:
             [self.grid_vertices[int(g)].size for g in occupied], dtype=np.int64
         )
         self._members = _RaggedRows([self.grid_vertices[int(g)] for g in occupied])
-        self._source_pools = _RaggedRows([self._pools[int(g)] for g in occupied])
+        self._source_pools = _RaggedRows(pools)
         self._bucket_pairs: list[np.ndarray] = []
         self._bucket_cumw: list[np.ndarray] = []
         self._bucket_productive: list[bool] = []

@@ -257,13 +257,39 @@ class Graph:
         pos = np.arange(local_u.size, dtype=np.int64) + np.repeat(starts - offsets, counts)
         nbrs = self._dst[pos]
         slot = np.minimum(np.searchsorted(sorted_ids, nbrs), vertices.size - 1)
-        local_v = by_id[slot]
-        keep = (sorted_ids[slot] == nbrs) & (local_u < local_v)
-        table = np.column_stack(
-            [local_u[keep], local_v[keep], self._wgt[pos[keep]]]
-        ).astype(np.float64)
+        inside = sorted_ids[slot] == nbrs
+        local_u, local_v, pos = local_u[inside], by_id[slot[inside]], pos[inside]
+        # The kept arcs are valid and duplicate-free, with both directions
+        # present, so they form the CSR directly.  Sort them into the
+        # constructor's row order: neighbours above the row ascending, then
+        # those below ascending.
+        k = vertices.size
+        order = np.argsort(
+            (local_u * 2 + (local_v < local_u)) * k + local_v, kind="stable"
+        )
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(local_u, minlength=k), out=indptr[1:])
         coords = self.coords[vertices] if self.coords is not None else None
-        return Graph(vertices.size, table, coords=coords), vertices
+        return (
+            Graph._from_csr(indptr, local_v[order], self._wgt[pos[order]], coords),
+            vertices,
+        )
+
+    @classmethod
+    def _from_csr(
+        cls,
+        indptr: np.ndarray,
+        dst: np.ndarray,
+        wgt: np.ndarray,
+        coords: np.ndarray | None,
+    ) -> "Graph":
+        """Wrap CSR arrays already in the constructor's layout (both
+        directions, validated, deduplicated, row order as ``__init__``)."""
+        graph = cls.__new__(cls)
+        graph.n = indptr.size - 1
+        graph._indptr, graph._dst, graph._wgt = indptr, dst, wgt
+        graph.coords = graph._validate_coords(coords)
+        return graph
 
     # ------------------------------------------------------------------
     # structure queries

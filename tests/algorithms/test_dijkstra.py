@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from repro.algorithms import (
     INF,
@@ -13,7 +14,8 @@ from repro.algorithms import (
     pair_distances,
     sssp_many,
 )
-from repro.graph import Graph
+from repro.algorithms.dijkstra import sssp_rows
+from repro.graph import Graph, grid_city, multi_city
 
 
 class TestDijkstra:
@@ -106,6 +108,37 @@ class TestBatch:
     def test_pair_distances_bad_shape(self, small_grid):
         with pytest.raises(ValueError):
             pair_distances(small_grid, np.zeros((3, 3), dtype=int))
+
+
+KERNEL_GRAPHS = {
+    "grid": lambda: grid_city(12, 12, seed=3),
+    "multi_city": lambda: multi_city(3, 8, 8, seed=1),
+    "disconnected": lambda: Graph(
+        7, [(0, 1, 2.0), (1, 2, 1.5), (4, 5, 3.0), (5, 6, 0.25), (4, 6, 1.0)]
+    ),
+    "parallel-edges": lambda: Graph(
+        5,
+        [
+            (0, 1, 5.0), (1, 0, 3.0), (3, 1, 2.5), (1, 3, 4.0),
+            (2, 4, 1.0), (4, 2, 0.5), (0, 4, 9.0), (0, 1, 7.0),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+def test_sssp_rows_directed_equals_undirected(name):
+    """The CSR matrix holds both arc directions, so scipy's directed mode
+    gives the undirected distances byte for byte."""
+    g = KERNEL_GRAPHS[name]()
+    sources = np.arange(g.n, dtype=np.int64)
+    got = sssp_rows(g.to_csr_matrix(), sources)
+    want = np.asarray(
+        csgraph.dijkstra(g.to_csr_matrix(), directed=False, indices=sources),
+        dtype=np.float64,
+    )
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestDiameter:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import LTEstimator, pair_distances, select_landmarks
+from repro.core import DistanceLabeler, landmark_samples
 from repro.graph import Graph
 
 
@@ -43,11 +44,34 @@ class TestSelection:
         b = select_landmarks(small_grid, 6, seed=9)
         np.testing.assert_array_equal(a, b)
 
+    def test_farthest_rows_through_labeler_cache(self, small_grid, rng):
+        """Rows fetched through a labeler pick the same landmarks, one SSSP
+        each, and the landmark samples that follow reuse them."""
+        labeler = DistanceLabeler(small_grid)
+        lm = select_landmarks(small_grid, 10, seed=9, sssp_row=labeler.row)
+        np.testing.assert_array_equal(lm, select_landmarks(small_grid, 10, seed=9))
+        assert labeler.sssp_runs == 10
+        landmark_samples(small_grid, lm, 500, labeler, rng)
+        assert labeler.sssp_runs == 10
+
 
 class TestLTEstimator:
     @pytest.fixture(scope="class")
     def lt(self, small_grid):
         return LTEstimator(small_grid, 12, seed=0)
+
+    @pytest.mark.parametrize("strategy", ["farthest", "random"])
+    def test_one_sssp_per_landmark(self, small_grid, monkeypatch, strategy):
+        import repro.algorithms.landmarks as landmarks
+
+        runs = []
+        real = landmarks.sssp_many
+        monkeypatch.setattr(
+            landmarks, "sssp_many", lambda g, s: runs.append(len(s)) or real(g, s)
+        )
+        est = LTEstimator(small_grid, 8, strategy=strategy, seed=0)
+        assert sum(runs) == 8
+        np.testing.assert_array_equal(est.table, real(small_grid, est.landmarks))
 
     def test_table_shape(self, lt, small_grid):
         assert lt.table.shape == (12, small_grid.n)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import Edge, Graph, GraphError
+from repro.graph import Edge, Graph, GraphError, grid_city, multi_city
 
 
 class TestConstruction:
@@ -221,6 +221,56 @@ class TestConversions:
         assert sub.m == 4
         for u, v, w in zip(*sub.edge_array()):
             assert w == tiny_graph.edge_weight(int(mapping[u]), int(mapping[v]))
+
+
+SUBGRAPH_SOURCES = {
+    "grid": lambda: grid_city(10, 10, seed=2),
+    "multi_city": lambda: multi_city(3, 8, 8, seed=1),
+    "disconnected": lambda: Graph(
+        7, [(0, 1, 2.0), (1, 2, 1.5), (4, 5, 3.0), (5, 6, 0.25), (4, 6, 1.0)]
+    ),
+    "parallel-edges": lambda: Graph(
+        5,
+        [
+            (0, 1, 5.0), (1, 0, 3.0), (3, 1, 2.5), (1, 3, 4.0),
+            (2, 4, 1.0), (4, 2, 0.5), (0, 4, 9.0), (0, 1, 7.0),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBGRAPH_SOURCES))
+def test_subgraph_matches_constructor(name):
+    """``subgraph`` builds its CSR directly; it must equal the constructor
+    run on the induced edges, array for array and byte for byte."""
+    g = SUBGRAPH_SOURCES[name]()
+    rng = np.random.default_rng(4)
+    selections = [np.arange(g.n), np.arange(g.n)[::-1], np.array([g.n - 1])]
+    selections += [
+        rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False)
+        for _ in range(20)
+    ]
+    for vertices in selections:
+        sub, mapping = g.subgraph(vertices)
+        local = {int(v): i for i, v in enumerate(vertices)}
+        induced = [
+            (local[u], local[v], w)
+            for u, v, w in zip(*(a.tolist() for a in g.edge_array()))
+            if u in local and v in local
+        ]
+        coords = g.coords[vertices] if g.coords is not None else None
+        ref = Graph(len(vertices), induced, coords=coords)
+        np.testing.assert_array_equal(mapping, vertices)
+        for got, want in [
+            *zip(sub.csr_arrays(), ref.csr_arrays()),
+            *zip(sub.edge_array(), ref.edge_array()),
+        ]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert sub.n == ref.n and sub.m == ref.m
+        if coords is None:
+            assert sub.coords is None
+        else:
+            assert sub.coords.tobytes() == coords.tobytes()
 
 
 class TestStructure:
