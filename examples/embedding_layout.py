@@ -28,7 +28,7 @@ from repro.core import (
     subgraph_level_samples,
     vertex_only_schedule,
 )
-from repro.core.training import new_adam_states
+from repro.core.training import AdamState
 from repro.algorithms import select_landmarks
 from repro.graph import PartitionHierarchy
 
@@ -74,19 +74,19 @@ def main() -> None:
     print("Training a HIERARCHICAL 2-d embedding (Algorithm 1)...")
     hierarchy = PartitionHierarchy(graph, fanout=4, leaf_size=32, seed=2)
     hier = HierarchicalRNE(hierarchy, d, init_scale=scale, seed=2)
-    adam = new_adam_states(hier)
+    adam = AdamState.for_model(hier)
     for focus in range(hierarchy.num_subgraph_levels):
         pairs, phi = subgraph_level_samples(hierarchy, focus, 6000, labeler, rng)
         train_hierarchical(
             hier, pairs, phi, level_schedule(focus, hier.num_levels),
-            TrainConfig(epochs=3, lr=0.05), rng, adam_states=adam,
+            TrainConfig(epochs=3, lr=0.05), rng, adam=adam,
         )
     landmarks = select_landmarks(graph, 40, seed=3)
     for _ in range(5):
         pairs, phi = landmark_samples(graph, landmarks, 8000, labeler, rng)
         train_hierarchical(
             hier, pairs, phi, vertex_only_schedule(hier.num_levels),
-            TrainConfig(epochs=2, lr=0.05), rng, adam_states=adam,
+            TrainConfig(epochs=2, lr=0.05), rng, adam=adam,
         )
 
     print("\nOriginal city (vertex coordinates):")

@@ -42,7 +42,7 @@ from ..core import (
     validation_set,
     vertex_only_schedule,
 )
-from ..core.training import new_adam_states
+from ..core.training import AdamState
 from ..algorithms.landmarks import select_landmarks
 from ..graph import Graph, PartitionHierarchy, delaunay_country, multi_city, radial_city
 from .methods import TABLE_METHODS, BuiltMethod, build_method, default_rne_config
@@ -283,12 +283,12 @@ def fig11_hier_aft(*, fast: bool = False, seed: int = 3) -> dict:
     hier = HierarchicalRNE(hierarchy, d, init_scale=init_scale, seed=2)
     hier_curve: list[tuple[int, float]] = []
     consumed = 0
-    adam = new_adam_states(hier)
+    adam = AdamState.for_model(hier)
     for focus in range(hierarchy.num_subgraph_levels):
         pairs, phi = subgraph_level_samples(hierarchy, focus, chunk // 2, labeler, rng)
         train_hierarchical(
             hier, pairs, phi, level_schedule(focus, hier.num_levels),
-            TrainConfig(epochs=epochs), rng, adam_states=adam,
+            TrainConfig(epochs=epochs), rng, adam=adam,
         )
         consumed += len(pairs) * epochs
         hier_curve.append((consumed, rel(hier)))
@@ -297,7 +297,7 @@ def fig11_hier_aft(*, fast: bool = False, seed: int = 3) -> dict:
         pairs, phi = landmark_samples(graph, landmarks, chunk, labeler, rng)
         train_hierarchical(
             hier, pairs, phi, vertex_only_schedule(hier.num_levels),
-            TrainConfig(epochs=epochs), rng, adam_states=adam,
+            TrainConfig(epochs=epochs), rng, adam=adam,
         )
         consumed += len(pairs) * epochs
         hier_curve.append((consumed, rel(hier)))
@@ -405,24 +405,24 @@ def fig12_landmarks(
     base = HierarchicalRNE(
         hierarchy, d, init_scale=mean_phi * np.sqrt(np.pi) / (2 * d), seed=1
     )
-    adam = new_adam_states(base)
+    adam = AdamState.for_model(base)
     for focus in range(hierarchy.num_subgraph_levels):
         pairs, phi = subgraph_level_samples(hierarchy, focus, samples // 2, labeler, rng)
         train_hierarchical(
             base, pairs, phi, level_schedule(focus, base.num_levels),
-            TrainConfig(epochs=2), rng, adam_states=adam,
+            TrainConfig(epochs=2), rng, adam=adam,
         )
 
     def run_arm(sample_fn) -> list[float]:
         arm = base.clone()
-        arm_adam = new_adam_states(arm)
+        arm_adam = AdamState.for_model(arm)
         trace = []
         arm_rng = np.random.default_rng(33)
         for _ in range(epochs):
             pairs, phi = sample_fn(arm_rng)
             train_hierarchical(
                 arm, pairs, phi, vertex_only_schedule(arm.num_levels),
-                TrainConfig(epochs=1), arm_rng, adam_states=arm_adam,
+                TrainConfig(epochs=1), arm_rng, adam=arm_adam,
             )
             trace.append(
                 error_report(arm.query_pairs(val_pairs), val_phi).mean_rel
@@ -723,12 +723,6 @@ def _labeling_runner(**kw) -> str:
     return labeling_benchmark(**kw)["report"]
 
 
-def _updates_runner(**kw) -> str:
-    from .updates import updates_benchmark
-
-    return updates_benchmark(**kw)["report"]
-
-
 def _ablation_runner(name: str):
     def run(**kw):
         from . import ablations
@@ -753,7 +747,6 @@ EXPERIMENTS = {
     "fig16": lambda **kw: fig16_range_knn(**kw)["report"],
     "fig17": lambda **kw: fig17_error_vs_distance(**kw)["report"],
     "labeling": lambda **kw: _labeling_runner(**kw),
-    "updates": lambda **kw: _updates_runner(**kw),
     "ablate-joint": _ablation_runner("ablate_joint_pass"),
     "ablate-optimizer": _ablation_runner("ablate_optimizer"),
     "ablate-landmarks": _ablation_runner("ablate_landmark_strategy"),

@@ -49,10 +49,9 @@ def norm_profile(hmodel: HierarchicalRNE) -> NormProfile:
     global matrix — what a flat model storing the same embedding would
     hold; ``total_parameter_norm`` is what the hierarchy actually stores.
     """
-    level_means = tuple(
-        float(np.abs(m).sum(axis=1).mean()) for m in hmodel.locals
-    )
-    total = float(sum(np.abs(m).sum() for m in hmodel.locals))
+    levels = hmodel.locals
+    level_means = tuple(float(np.abs(m).sum(axis=1).mean()) for m in levels)
+    total = float(sum(np.abs(m).sum() for m in levels))
     flat = float(np.abs(hmodel.global_matrix()).sum())
     return NormProfile(level_means, total, flat)
 

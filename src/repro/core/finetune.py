@@ -28,8 +28,8 @@ from .metrics import bucketed_errors
 from .model import RNEModel
 from .sampling import DistanceLabeler, GridBuckets, error_based_samples
 from .training import (
+    AdamState,
     TrainConfig,
-    new_adam_states,
     train_hierarchical,
     vertex_only_schedule,
 )
@@ -79,13 +79,13 @@ def active_finetune(
         config = TrainConfig(epochs=2, batch_size=1024, lr=0.01)
     # The flat table trains as a one-level hierarchy.  As RNE-Naive it
     # restarts Adam every round; the hierarchical model keeps one optimiser
-    # for its vertex level across rounds.
+    # across rounds, of which only the vertex level steps.
     hmodel = (
         HierarchicalRNE.flat(model.matrix, p=model.p)
         if isinstance(model, RNEModel)
         else model
     )
-    adam = None if isinstance(model, RNEModel) else new_adam_states(hmodel)
+    adam = None if isinstance(model, RNEModel) else AdamState.for_model(hmodel)
     schedule = vertex_only_schedule(hmodel.num_levels)
     val_bucket_ids = buckets.bucket_of_pairs(val_pairs)
     result = FinetuneResult()
@@ -107,7 +107,7 @@ def active_finetune(
         result.bucket_errors.append(rel)
         if keep_best and mean_rel < best_err:
             best_err = mean_rel
-            best_snapshot = hmodel.locals[-1].copy()
+            best_snapshot = hmodel.block.copy()
 
         pairs, phi = error_based_samples(
             buckets, rel, samples_per_round, labeler, rng, mode=mode
@@ -115,15 +115,16 @@ def active_finetune(
         if pairs.shape[0] == 0:
             break
         train_hierarchical(
-            hmodel, pairs, phi, schedule, config, rng, adam_states=adam
+            hmodel, pairs, phi, schedule, config, rng, adam=adam
         )
 
     mean_rel, rel = measure()
     result.mean_rel_errors.append(mean_rel)
     result.bucket_errors.append(rel)
     if keep_best and best_snapshot is not None and mean_rel > best_err:
-        # In place: a flat model's matrix is this level, not a copy.
-        hmodel.locals[-1][...] = best_snapshot
+        # In place: a flat model's matrix is this block, not a copy.  Only
+        # the vertex level trained, so the coarse rows restore unchanged.
+        hmodel.block[...] = best_snapshot
     result.sssp_runs = labeler.sssp_runs - runs_before
     result.pairs_labelled = labeler.pairs_labelled - pairs_before
     return result

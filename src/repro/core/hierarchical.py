@@ -12,8 +12,10 @@ levels carry the large-norm, region-scale components once for all their
 descendants, which is why hierarchical training converges faster and to a
 better optimum than the flat table (reproduced in Fig. 11).
 
-The flat table itself is the one-level case (:meth:`HierarchicalRNE.flat`):
-every vertex is its own only ancestor, so one training loop serves both.
+All levels live in one parameter block, so one optimiser state and one
+in-place update per batch cover the whole model.  The flat table itself is
+the one-level case (:meth:`HierarchicalRNE.flat`): every vertex is its own
+only ancestor, so one training loop serves both.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ from .model import RNEModel, lp_distance
 
 
 class HierarchicalRNE:
-    """Per-level local embedding matrices over a partition hierarchy.
+    """Local embeddings of every hierarchy level, stored as one block.
+
+    The parameters are one ``(sum of level sizes, d)`` array, ``block``:
+    level ``l`` owns rows ``offsets[l]:offsets[l + 1]``, and
+    ``block_rows = anc_rows + offsets[:-1]`` are each vertex's ancestor
+    rows in that space, so ``v_global = sum_l block[block_rows[v, l]]``.
+    Training updates ``block`` in place; a publish rebinds it whole.
 
     Parameters
     ----------
@@ -42,6 +50,14 @@ class HierarchicalRNE:
         larger norms, matching the model's intended norm hierarchy.
     """
 
+    hierarchy: PartitionHierarchy | None
+    anc_rows: np.ndarray
+    offsets: np.ndarray
+    block_rows: np.ndarray
+    block: np.ndarray
+    d: int
+    p: float
+
     def __init__(
         self,
         hierarchy: PartitionHierarchy,
@@ -53,37 +69,70 @@ class HierarchicalRNE:
     ) -> None:
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        self.hierarchy: PartitionHierarchy | None = hierarchy
-        self.anc_rows = hierarchy.anc_rows
-        self.d = int(d)
-        self.p = float(p)
+        sizes = [hierarchy.level_size(level) for level in range(hierarchy.num_levels)]
+        self._bind(hierarchy, np.empty((sum(sizes), int(d)), dtype=np.float64), p)
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        self.locals: list[np.ndarray] = []
         scale = init_scale
-        for level in range(hierarchy.num_levels):
-            size = hierarchy.level_size(level)
-            self.locals.append(rng.normal(scale=scale, size=(size, self.d)))
+        for level, size in enumerate(sizes):
+            rows = slice(self.offsets[level], self.offsets[level + 1])
+            self.block[rows] = rng.normal(scale=scale, size=(size, self.d))
             scale *= 0.5
+
+    def _bind(
+        self, hierarchy: PartitionHierarchy | None, block: np.ndarray, p: float
+    ) -> None:
+        """Lay the model out over ``block``; no hierarchy means one level."""
+        if hierarchy is None:
+            self.anc_rows = np.arange(block.shape[0], dtype=np.int64)[:, None]
+            sizes = [block.shape[0]]
+        else:
+            self.anc_rows = hierarchy.anc_rows
+            sizes = [hierarchy.level_size(level) for level in range(hierarchy.num_levels)]
+        self.offsets = np.cumsum([0] + sizes, dtype=np.int64)
+        if block.ndim != 2 or block.shape[0] != self.offsets[-1]:
+            raise ValueError(
+                f"block has shape {block.shape}, levels need {self.offsets[-1]} rows"
+            )
+        self.hierarchy = hierarchy
+        self.block_rows = self.anc_rows + self.offsets[:-1]
+        self.block = block
+        self.d = int(block.shape[1])
+        self.p = float(p)
+
+    @classmethod
+    def _from_block(
+        cls, hierarchy: PartitionHierarchy | None, block: np.ndarray, p: float
+    ) -> "HierarchicalRNE":
+        """Model over an existing ``block`` (shared, not copied)."""
+        model = object.__new__(cls)
+        model._bind(hierarchy, block, p)
+        return model
 
     @classmethod
     def flat(cls, matrix: np.ndarray, *, p: float = 1.0) -> "HierarchicalRNE":
-        """One-level model whose only level is ``matrix`` (shared, not copied).
+        """One-level model whose block is ``matrix`` itself (not a copy).
 
         The ancestor rows are the identity ``arange(n)[:, None]`` and there
         is no partition tree (``hierarchy`` is None), so training this model
         with ``level_lrs=[1.0]`` trains the flat table in place.
         """
-        model = object.__new__(cls)
-        model.hierarchy = None
-        model.anc_rows = np.arange(matrix.shape[0], dtype=np.int64)[:, None]
-        model.d = int(matrix.shape[1])
-        model.p = float(p)
-        model.locals = [matrix]
-        return model
+        return cls._from_block(None, matrix, p)
+
+    @property
+    def locals(self) -> tuple[np.ndarray, ...]:
+        """Read-only per-level views of the current block."""
+        block = self.block
+        views = tuple(
+            block[self.offsets[level] : self.offsets[level + 1]]
+            for level in range(self.num_levels)
+        )
+        for view in views:
+            view.flags.writeable = False
+        return views
 
     @property
     def num_levels(self) -> int:
-        return len(self.locals)
+        return int(self.offsets.size - 1)
 
     @property
     def n(self) -> int:
@@ -95,33 +144,16 @@ class HierarchicalRNE:
     @shapes(vertices="(k,):int", ret="(k,d):float")
     def global_vectors(self, vertices: np.ndarray) -> np.ndarray:
         """Global embeddings for an array of vertex ids (ancestor sums)."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        rows = self.anc_rows[vertices]
-        out = np.zeros((vertices.size, self.d), dtype=np.float64)
-        for level, matrix in enumerate(self.locals):
-            out += matrix[rows[:, level]]
+        block = self.block
+        rows = self.block_rows[np.asarray(vertices, dtype=np.int64)]
+        out = np.zeros((rows.shape[0], self.d), dtype=np.float64)
+        for level in range(self.num_levels):
+            out += block[rows[:, level]]
         return out
 
     def global_matrix(self) -> np.ndarray:
         """Full ``(n, d)`` global embedding matrix."""
         return self.global_vectors(np.arange(self.n))
-
-    def node_vector(self, node_id: int) -> np.ndarray:
-        """Global embedding of an arbitrary hierarchy node.
-
-        Sum of the node's own local embedding and its ancestors' — used by
-        the tree-structured query index (Sec. VI).
-        """
-        hierarchy = self.hierarchy
-        if hierarchy is None:
-            raise ValueError("a one-level model has no hierarchy nodes")
-        vec = np.zeros(self.d, dtype=np.float64)
-        cursor: int | None = node_id
-        while cursor is not None:
-            node = hierarchy.nodes[cursor]
-            vec += self.locals[node.level][node.row]
-            cursor = node.parent
-        return vec
 
     # ------------------------------------------------------------------
     # queries (delegate through the assembled vectors)
@@ -147,36 +179,13 @@ class HierarchicalRNE:
         return RNEModel(self.global_matrix(), p=self.p)
 
     def clone(self) -> "HierarchicalRNE":
-        """Copy with independent local matrices but a shared hierarchy.
+        """Copy with an independent block but a shared hierarchy.
 
         Used by ablations that branch several training arms from one
-        partially trained state.
+        partially trained state, and by updates that train on a copy.
         """
-        other = object.__new__(HierarchicalRNE)
-        other.hierarchy = self.hierarchy
-        other.anc_rows = self.anc_rows
-        other.d = self.d
-        other.p = self.p
-        other.locals = [m.copy() for m in self.locals]
-        return other
-
-    def parameter_norm(self, p: float | None = None) -> float:
-        """Sum of entrywise Lp norms of the local matrices.
-
-        The paper argues this total is *smaller* than the flat model's
-        ``||M||_p`` because coarse components are stored once per cell.
-        """
-        if p is None:
-            p = self.p
-        total = 0.0
-        for matrix in self.locals:
-            total += float(np.power(np.abs(matrix), p).sum() ** (1.0 / p))
-        return total
-
-    def index_bytes(self) -> int:
-        """Memory of the *frozen* query artefact (the global matrix)."""
-        return self.n * self.d * 8
+        return HierarchicalRNE._from_block(self.hierarchy, self.block.copy(), self.p)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        sizes = "+".join(str(m.shape[0]) for m in self.locals)
+        sizes = "+".join(str(size) for size in np.diff(self.offsets))
         return f"HierarchicalRNE(levels={sizes}, d={self.d}, p={self.p})"

@@ -69,10 +69,10 @@ from .sampling import (
     validation_set,
 )
 from .training import (
+    AdamState,
     TrainConfig,
     TrainResult,
     level_schedule,
-    new_adam_states,
     train_hierarchical,
     vertex_only_schedule,
 )
@@ -353,7 +353,7 @@ def build_rne(
         mean_phi = _mean_distance_probe(graph, labeler, rng)
         # The hierarchy and initial embeddings are rebuilt deterministically
         # from config.seed on every call, so a resumed run only needs the
-        # checkpointed matrices, Adam moments and RNG position to be
+        # checkpointed block, Adam state and RNG position to be
         # bit-identical to an uninterrupted one.
         scale = _init_scale(mean_phi, config.d)
         hierarchy: PartitionHierarchy | None = None
@@ -440,8 +440,8 @@ def _restore_history(history: BuildHistory, meta: dict[str, Any]) -> None:
 def _restore_latest(
     manager: CheckpointManager,
     stage_names: list[str],
-    matrices: list[np.ndarray],
-    adam_states: list[Any],
+    block: np.ndarray,
+    adam: AdamState,
     rng: np.random.Generator,
     history: BuildHistory,
 ) -> int:
@@ -466,7 +466,7 @@ def _restore_latest(
         )
         return -1
     try:
-        unpack_state(arrays, meta, matrices, adam_states)
+        unpack_state(arrays, meta, block, adam)
     except ArtifactError as exc:
         history.notes.append(f"checkpoint {stage!r} unusable: {exc}; starting fresh")
         return -1
@@ -616,17 +616,17 @@ def _run_stages(
     restored stream position already accounts for them.
     """
     names = [stage.name for stage in stages]
-    adam = new_adam_states(hmodel)
+    adam = AdamState.for_model(hmodel)
     done = -1
     if manager is not None and resume:
-        done = _restore_latest(manager, names, hmodel.locals, adam, rng, history)
-    snapshot, restore = rollback_pair(hmodel.locals, adam, rng)
+        done = _restore_latest(manager, names, hmodel.block, adam, rng, history)
+    snapshot, restore = rollback_pair(hmodel.block, adam, rng)
     # Fine-tuning keeps its own optimiser.  The flat table is fine-tuned
-    # through a view on its only level, which restarts Adam every round.
+    # as a model over its block, which restarts Adam every round.
     tuned: HierarchicalRNE | RNEModel = (
         hmodel
         if hmodel.hierarchy is not None
-        else RNEModel(hmodel.locals[0], p=hmodel.p)
+        else RNEModel(hmodel.block, p=hmodel.p)
     )
 
     # Every pending step's samples are queued on the prefetch pipeline:
@@ -676,7 +676,7 @@ def _run_stages(
                         _s.level_lrs,
                         config.train_config(_s.epochs, lr=_s.lr * scale),
                         rng,
-                        adam_states=adam,
+                        adam=adam,
                         on_epoch=abort_on_nonfinite(_s.name),
                     ),
                     snapshot,
@@ -693,7 +693,7 @@ def _run_stages(
                     else error_report(hmodel.query_pairs(val_pairs), val_phi).mean_rel
                 )
             if manager is not None:
-                arrays, meta = pack_state(hmodel.locals, adam)
+                arrays, meta = pack_state(hmodel.block, adam)
                 meta["rng_state"] = rng_state(rng)
                 meta["worker_config"] = {
                     "workers": resolve_workers(config.workers),

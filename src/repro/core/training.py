@@ -76,8 +76,8 @@ class TrainResult:
         self.mean_rel_error.extend(other.mean_rel_error)
 
 
-class _Adam:
-    """Lazy (row-sparse) Adam state for an embedding matrix.
+class AdamState:
+    """Lazy (row-sparse) Adam state for a model's parameter block.
 
     Embedding batches touch only a few rows; *dense* Adam would keep moving
     every untouched row by its decaying momentum (``m_hat / sqrt(v_hat)``
@@ -85,27 +85,51 @@ class _Adam:
     sampled embeddings.  Lazy Adam updates moments and parameters only for
     the rows present in the batch — the same fix TensorFlow ships as
     ``LazyAdamOptimizer`` for embedding training.
+
+    The moments cover the whole block; the step count ``t`` is kept per
+    level, because a frozen level takes no steps and must keep its own
+    bias correction when it is unfrozen.
     """
 
-    def __init__(self, shape: tuple[int, ...], beta1: float = 0.9, beta2: float = 0.999):
+    beta1 = 0.9
+    beta2 = 0.999
+
+    def __init__(self, shape: tuple[int, ...], levels: int = 1) -> None:
         self.m = np.zeros(shape, dtype=np.float64)
         self.v = np.zeros(shape, dtype=np.float64)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.t = 0
+        self.t = np.zeros(levels, dtype=np.int64)
 
-    def step_rows(self, rows: np.ndarray, grad_rows: np.ndarray, lr: float) -> np.ndarray:
-        """Update moments for ``rows`` only; return their parameter update."""
-        self.t += 1
+    @classmethod
+    def for_model(cls, hmodel: HierarchicalRNE) -> "AdamState":
+        """Fresh state over ``hmodel``'s block, for threading through calls."""
+        return cls(hmodel.block.shape, hmodel.num_levels)
+
+    def step_rows(
+        self, rows: np.ndarray, grad_rows: np.ndarray, lrs: np.ndarray, bounds: np.ndarray
+    ) -> np.ndarray:
+        """Update moments for ``rows`` only; return their parameter update.
+
+        ``rows`` are sorted, so level ``l``'s rows are
+        ``rows[bounds[l]:bounds[l + 1]]``; ``lrs`` holds one learning rate
+        per level.  Every level with rows in the batch takes one step.
+        """
+        counts = np.diff(bounds)
+        self.t += counts > 0
         # One gather and one write-back per moment: ``rows`` is unique, so
         # reading ``self.m[rows]`` back after the write would return ``m``.
         m = self.beta1 * self.m[rows] + (1 - self.beta1) * grad_rows
         v = self.beta2 * self.v[rows] + (1 - self.beta2) * np.square(grad_rows)
         self.m[rows] = m
         self.v[rows] = v
-        m_hat = m / (1 - self.beta1**self.t)
-        v_hat = v / (1 - self.beta2**self.t)
-        return -lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        # Per level, in place: m becomes -lr * m_hat and v becomes v_hat,
+        # with the level's own scalar bias corrections.
+        for level in np.flatnonzero(counts):
+            part = slice(bounds[level], bounds[level + 1])
+            t = int(self.t[level])
+            m[part] /= 1 - self.beta1**t
+            v[part] /= 1 - self.beta2**t
+            m[part] *= -lrs[level]
+        return m / (np.sqrt(v) + 1e-8)
 
 
 def _epoch_batches(
@@ -147,26 +171,24 @@ def _pair_gradient(
 
 
 def _scatter_levels(
-    rows_s: np.ndarray, rows_t: np.ndarray, grad: np.ndarray, offsets: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Segment-sum ``+grad`` onto rows ``rows_s`` and ``-grad`` onto ``rows_t``.
+    rows_s: np.ndarray, rows_t: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segment-sum ``+grad`` onto block rows ``rows_s`` and ``-grad`` onto ``rows_t``.
 
-    Column ``l`` of the ``(k, L)`` row arrays holds level ``l``'s rows;
-    ``offsets`` (``L + 1`` entries) are the cumulative level sizes, which
-    put every level's rows into one id space so that one sparse product
-    covers all levels.  Returns, per level, its sorted unique touched rows
-    and their summed gradients.
+    Column ``l`` of the ``(k, L)`` row arrays holds one level's rows in
+    the model's block space, so one sparse product covers all levels.
+    Returns the sorted unique touched rows and their summed gradients.
 
     The product is a CSC matrix with one column per row of the stacked
     ``[grad; -grad]`` and one 1.0 per level in each column.  scipy's
     ``csc_matvecs`` walks the columns in input order and adds into a zeroed
-    output, the order ``np.add.at`` uses, so every level's sums are
+    output, the order ``np.add.at`` uses, so every row's sum is
     bit-identical to scattering ``grad`` then ``-grad`` one level at a
     time (see docs/TRAINING.md, "SGD step kernel").
     """
     k, levels = rows_s.shape
-    ids = (np.concatenate([rows_s, rows_t]) + offsets[:-1]).ravel()
-    touched = np.bincount(ids, minlength=offsets[-1]) > 0
+    ids = np.concatenate([rows_s, rows_t]).ravel()
+    touched = np.bincount(ids) > 0
     compact = np.cumsum(touched) - 1
     rows = np.flatnonzero(touched)
     scatter = sparse.csc_matrix(
@@ -177,12 +199,7 @@ def _scatter_levels(
         ),
         shape=(rows.size, 2 * k),
     )
-    full = scatter @ np.concatenate([grad, -grad])
-    bounds = np.searchsorted(rows, offsets)
-    return [
-        (rows[bounds[l] : bounds[l + 1]] - offsets[l], full[bounds[l] : bounds[l + 1]])
-        for l in range(levels)
-    ]
+    return rows, scatter @ np.concatenate([grad, -grad])
 
 
 @shapes(pairs="(k,2):int", phi="(k,):float:finite")
@@ -221,16 +238,17 @@ def train_hierarchical(
     config: TrainConfig,
     rng: np.random.Generator | int | None = None,
     *,
-    adam_states: list[_Adam] | None = None,
+    adam: AdamState | None = None,
     on_epoch: Optional[EpochHook] = None,
 ) -> TrainResult:
-    """Train hierarchy local embeddings in place (Function *TrainingHier*).
+    """Train the model's parameter block in place (Function *TrainingHier*).
 
     ``level_lrs`` has one finite, non-negative relative learning rate per
     level (``ValueError`` otherwise); a level with rate 0 is frozen (its
-    gradient is never even computed).  Passing the same ``adam_states``
+    gradient is never even computed).  Passing the same ``adam`` state
     across successive calls keeps optimiser momentum through the
-    multi-step schedule of Algorithm 1.
+    multi-step schedule of Algorithm 1; a state whose moments or level
+    count do not match the model's block is a ``ValueError``.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -244,61 +262,63 @@ def train_hierarchical(
         raise ValueError(f"level_lrs must be finite and >= 0, got {level_lrs}")
     if pairs.shape[0] != phi.shape[0]:
         raise ValueError("pairs and phi must align")
+    if adam is not None and (
+        adam.m.shape != hmodel.block.shape or adam.t.shape != (hmodel.num_levels,)
+    ):
+        raise ValueError(
+            f"Adam state covers {adam.m.shape} over {adam.t.size} levels, "
+            f"model block is {hmodel.block.shape} over {hmodel.num_levels} levels"
+        )
     result = TrainResult()
     if pairs.shape[0] == 0:
         return result
 
-    states: list[Optional[_Adam]] = [None] * hmodel.num_levels
     scale = 1.0
     if config.optimizer == "adam":
-        if adam_states is None:
-            adam_states = new_adam_states(hmodel)
-        states = list(adam_states)
+        if adam is None:
+            adam = AdamState.for_model(hmodel)
         probe = slice(0, min(len(pairs), 2048))
         scale = _adam_lr_scale(hmodel.query_pairs(pairs[probe]), phi[probe])
+    else:
+        adam = None
 
-    anc = hmodel.anc_rows
-    active = [l for l in range(hmodel.num_levels) if level_lrs[l] > 0]
-    offsets = np.cumsum([0] + [hmodel.locals[l].shape[0] for l in active], dtype=np.int64)
+    block = hmodel.block
+    block_rows = hmodel.block_rows
+    offsets = hmodel.offsets
+    active = np.flatnonzero(level_lrs > 0)
+    lrs = config.lr * level_lrs * scale
 
     for epoch in range(config.epochs):
         sq_sum = 0.0
         rel_sum = 0.0
         # perf: loop-ok (one iteration per batch, each fully vectorised)
         for batch in _epoch_batches(len(pairs), config.batch_size, config.shuffle, rng):
-            s = pairs[batch, 0]
-            t = pairs[batch, 1]
-            rows_s = anc[s]
-            rows_t = anc[t]
+            rows_s = block_rows[pairs[batch, 0]]
+            rows_t = block_rows[pairs[batch, 1]]
             vs = np.zeros((len(batch), hmodel.d), dtype=np.float64)
             vt = np.zeros((len(batch), hmodel.d), dtype=np.float64)
-            for level, matrix in enumerate(hmodel.locals):
-                vs += matrix[rows_s[:, level]]
-                vt += matrix[rows_t[:, level]]
+            for level in range(hmodel.num_levels):
+                vs += block[rows_s[:, level]]
+                vt += block[rows_t[:, level]]
             grad, resid, _ = _pair_gradient(vs, vt, phi[batch], hmodel.p)
             sq_sum += float(np.square(resid).sum())
             rel_sum += float((np.abs(resid) / np.maximum(phi[batch], 1e-12)).sum())
-            if not active:
+            if not active.size:
                 continue
-            scattered = _scatter_levels(rows_s[:, active], rows_t[:, active], grad, offsets)
-            for level, (rows, full) in zip(active, scattered):
-                full /= len(batch)
-                lr = config.lr * level_lrs[level] * scale
-                adam = states[level]
-                if adam is not None:
-                    hmodel.locals[level][rows] += adam.step_rows(rows, full, lr)  # mutation-ok (documented in-place training)
-                else:
-                    hmodel.locals[level][rows] -= lr * full  # mutation-ok (documented in-place training)
+            rows, full = _scatter_levels(rows_s[:, active], rows_t[:, active], grad)
+            full /= len(batch)
+            bounds = np.searchsorted(rows, offsets)
+            if adam is not None:
+                block[rows] += adam.step_rows(rows, full, lrs, bounds)  # mutation-ok (documented in-place training)
+            else:
+                for level in active:
+                    full[bounds[level] : bounds[level + 1]] *= lrs[level]
+                block[rows] -= full  # mutation-ok (documented in-place training)
         result.mse.append(sq_sum / len(pairs))
         result.mean_rel_error.append(rel_sum / len(pairs))
         if on_epoch is not None:
             on_epoch(epoch, result.mse[-1], result.mean_rel_error[-1])
     return result
-
-
-def new_adam_states(hmodel: HierarchicalRNE) -> list[_Adam]:
-    """Fresh Adam state per level, for threading through multiple calls."""
-    return [_Adam(m.shape) for m in hmodel.locals]
 
 
 def level_schedule(focus: int, num_levels: int, *, alpha0: float = 1.0) -> np.ndarray:

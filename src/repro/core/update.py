@@ -17,9 +17,10 @@ The procedure:
 3. run vertex-level training (coarse levels frozen — the global layout is
    unchanged by local weight edits) **on a private copy** of the model,
    with per-round divergence rollback and a keep-best policy;
-4. publish the winning vertex level back into ``hmodel`` with a single
+4. publish the winning parameter block back into ``hmodel`` with a single
    reference assignment — atomic under the GIL, so a concurrent reader
-   sees either the old or the new embedding, never a torn mix.
+   sees either the old or the new embedding, never a torn mix.  Its
+   coarse rows were frozen, so only vertex rows differ.
 
 Returns the updated model's validation trace plus the exact set of vertex
 rows that changed, so the serving layer (see :mod:`repro.live`) can refresh
@@ -44,9 +45,9 @@ from .hierarchical import HierarchicalRNE
 from .metrics import error_report
 from .sampling import DistanceLabeler, _budgeted_samples, stage_rng, validation_set
 from .training import (
+    AdamState,
     TrainConfig,
     TrainResult,
-    new_adam_states,
     train_hierarchical,
     vertex_only_schedule,
 )
@@ -134,7 +135,7 @@ def update_rne(
     closures are modelled as very large weights).
 
     Training happens on a private clone; ``hmodel`` is untouched until the
-    final publish, which swaps in the best-scoring vertex level with one
+    final publish, which swaps in the best-scoring block with one
     reference assignment (atomic under the GIL).  The keep-best policy
     guarantees ``error_after <= error_before`` on the validation set.
 
@@ -190,7 +191,7 @@ def update_rne(
 
         train_config = config if config is not None else TrainConfig(epochs=2, lr=0.01)
         scratch = hmodel.clone()
-        adam = new_adam_states(scratch)
+        adam = AdamState.for_model(scratch)
         schedule = vertex_only_schedule(scratch.num_levels)
 
         def draw(k: int) -> np.ndarray:
@@ -198,10 +199,10 @@ def update_rne(
             t = rng.integers(new_graph.n, size=k).astype(np.int64)
             return np.column_stack([s, t])
 
-        snapshot, restore = rollback_pair(scratch.locals, adam, rng)
+        snapshot, restore = rollback_pair(scratch.block, adam, rng)
 
         best_err = result.error_before
-        best_vertex: np.ndarray | None = None
+        best_block: np.ndarray | None = None
         for round_no in range(rounds):
             # Budgeted top-up draw: self-pairs and unreachable pairs cost a
             # re-draw, not a silent shrink of the round's training set.
@@ -224,7 +225,7 @@ def update_rne(
                     schedule,
                     replace(train_config, lr=train_config.lr * lr_scale),
                     rng,
-                    adam_states=adam,
+                    adam=adam,
                     on_epoch=abort_on_nonfinite(_stage),
                 )
 
@@ -235,18 +236,17 @@ def update_rne(
             result.rounds_run += 1
             if err < best_err:
                 best_err = err
-                best_vertex = scratch.locals[-1].copy()
+                best_block = scratch.block.copy()
 
-        if best_vertex is not None:
-            old_vertex = hmodel.locals[-1]
-            row_changed = np.any(best_vertex != old_vertex, axis=1)
+        if best_block is not None:
+            row_changed = np.any(best_block != hmodel.block, axis=1)
             if row_changed.any():
                 # Atomic publish: one reference assignment under the GIL —
-                # readers see the old or the new vertex level, never a mix.
-                hmodel.locals[-1] = best_vertex
+                # readers see the old or the new block, never a mix.
+                hmodel.block = best_block
                 result.published = True
                 result.changed_rows = np.nonzero(
-                    row_changed[hmodel.anc_rows[:, -1]]
+                    row_changed[hmodel.block_rows[:, -1]]
                 )[0]
         result.error_after = error_report(
             hmodel.query_pairs(val_pairs), val_phi

@@ -183,17 +183,10 @@ def _vertex_view(rne: RNE) -> HierarchicalRNE:
     anc = hierarchy.anc_rows
     if not np.array_equal(anc[:, -1], np.arange(rne.graph.n)):
         raise ValueError("hierarchy vertex level is not the identity mapping")
-    view = object.__new__(HierarchicalRNE)
-    view.hierarchy = hierarchy
-    view.anc_rows = anc
-    view.d = rne.model.d
-    view.p = rne.model.p
-    view.locals = [
-        np.zeros((hierarchy.level_size(level), rne.model.d), dtype=np.float64)
-        for level in range(hierarchy.num_levels - 1)
-    ]
-    view.locals.append(rne.model.matrix.copy())
-    return view
+    coarse = sum(hierarchy.level_size(level) for level in range(hierarchy.num_levels - 1))
+    block = np.zeros((coarse + rne.graph.n, rne.model.d), dtype=np.float64)
+    block[coarse:] = rne.model.matrix
+    return HierarchicalRNE._from_block(hierarchy, block, rne.model.p)
 
 
 class LiveUpdateManager:
@@ -329,7 +322,7 @@ class LiveUpdateManager:
 
         swap_start = time.perf_counter()
         if result.published:
-            new_matrix = view.locals[-1]
+            new_matrix = view.block[view.offsets[-2] :]
             index = self.rne.index
             if index is None:  # enforced at construction, re-checked for -O runs
                 raise RuntimeError("serving RNE lost its tree index mid-update")
@@ -353,9 +346,7 @@ class LiveUpdateManager:
         stats.swap_seconds = time.perf_counter() - swap_start
 
         if self.checkpoints is not None and result.published:
-            arrays, meta = pack_state(
-                [self.rne.model.matrix], version=self.rne.version
-            )
+            arrays, meta = pack_state(self.rne.model.matrix, version=self.rne.version)
             stats.checkpoint_path = self.checkpoints.save(
                 "live_update", arrays, meta, step=self.rne.version
             )

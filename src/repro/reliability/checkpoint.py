@@ -8,17 +8,18 @@ the last stage threw away everything.  This module provides
   through :mod:`~repro.reliability.artifacts`, so each one is atomic and
   self-validating) with *resume-from-latest-valid*: corrupt checkpoints are
   skipped, not trusted;
-* state packing helpers that capture embedding matrices, per-level Adam
-  moments and the RNG stream position, making a resumed run bit-identical
-  to an uninterrupted one;
+* state packing helpers that capture the parameter matrix, the Adam
+  moments with their per-level step counts, and the RNG stream position,
+  making a resumed run bit-identical to an uninterrupted one;
 * :func:`run_with_recovery` — divergence detection (non-finite loss, or an
   error regression beyond ``regression_factor`` × the recent best) with
   rollback to the pre-stage snapshot and a learning-rate backoff under a
   bounded retry budget.
 
 Deliberately free of ``repro.core`` imports: it consumes plain arrays,
-objects with ``.m / .v / .t`` (Adam states) and results with ``.mse``
-lists, so the dependency arrow stays core → reliability.
+Adam states (objects with ``.m`` / ``.v`` moment arrays and a per-level
+``.t`` step-count array) and results with ``.mse`` lists, so the
+dependency arrow stays core → reliability.
 """
 
 from __future__ import annotations
@@ -68,81 +69,75 @@ class TrainingDiverged(RuntimeError):
 # state packing
 # ----------------------------------------------------------------------
 def pack_state(
-    matrices: Sequence[np.ndarray],
-    adam_states: Optional[Sequence[Any]] = None,
+    matrix: np.ndarray,
+    adam: Optional[Any] = None,
     *,
     version: Optional[int] = None,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Pack embedding matrices (+ optional Adam moments) for an artifact.
+    """Pack a parameter matrix (+ optional Adam state) for an artifact.
 
-    Returns ``(arrays, meta_fragment)``; the fragment carries the Adam step
-    counters, which are scalars and live more naturally in the manifest.
-    ``version`` — when given — records the embedding version the state
-    belongs to (``meta["model_version"]``), so live-update journals can
-    tie a checkpoint to a specific published embedding.
+    Returns ``(arrays, meta_fragment)``: the arrays are ``matrix`` and,
+    with ``adam``, its moments ``adam_m`` / ``adam_v``; the fragment
+    carries the per-level Adam step counts (``adam_t``), which are scalars
+    and live more naturally in the manifest.  ``version`` — when given —
+    records the embedding version the state belongs to
+    (``meta["model_version"]``), so live-update journals can tie a
+    checkpoint to a specific published embedding.
     """
-    arrays: Dict[str, np.ndarray] = {}
-    for level, matrix in enumerate(matrices):
-        arrays[f"local_{level}"] = np.asarray(matrix)
-    meta: Dict[str, Any] = {"num_levels": len(list(matrices))}
+    arrays: Dict[str, np.ndarray] = {"matrix": np.asarray(matrix)}
+    meta: Dict[str, Any] = {}
     if version is not None:
         if version < 0:
             raise ValueError(f"version must be >= 0, got {version}")
         meta["model_version"] = int(version)
-    if adam_states is not None:
-        for level, state in enumerate(adam_states):
-            arrays[f"adam_m_{level}"] = np.asarray(state.m)
-            arrays[f"adam_v_{level}"] = np.asarray(state.v)
-        meta["adam_t"] = [int(state.t) for state in adam_states]
+    if adam is not None:
+        arrays["adam_m"] = np.asarray(adam.m)
+        arrays["adam_v"] = np.asarray(adam.v)
+        meta["adam_t"] = [int(t) for t in adam.t]
     return arrays, meta
 
 
 def unpack_state(
     arrays: Dict[str, np.ndarray],
     meta: Dict[str, Any],
-    matrices: Sequence[np.ndarray],
-    adam_states: Optional[Sequence[Any]] = None,
+    matrix: np.ndarray,
+    adam: Optional[Any] = None,
 ) -> Optional[int]:
-    """Restore packed state *in place* into ``matrices`` / ``adam_states``.
+    """Restore packed state *in place* into ``matrix`` / ``adam``.
 
     Shape mismatches (a checkpoint from a different architecture or
-    hierarchy) and missing Adam state raise :class:`ArtifactError` rather
-    than silently writing misaligned parameters; everything is checked
-    before anything is written, so a rejected checkpoint leaves the live
-    state untouched.  Returns the embedding version the checkpoint was
-    packed with (``meta["model_version"]``), or ``None`` for checkpoints
-    written before live updates existed.
+    hierarchy), missing Adam state and the per-level layout of older
+    checkpoints (``local_{l}`` arrays, no ``matrix``) raise
+    :class:`ArtifactError` rather than silently writing misaligned
+    parameters; everything is checked before anything is written, so a
+    rejected checkpoint leaves the live state untouched.  Returns the
+    embedding version the checkpoint was packed with
+    (``meta["model_version"]``), or ``None`` for checkpoints written
+    before live updates existed.
     """
-    matrices = list(matrices)
-    if meta.get("num_levels") != len(matrices):
+    if "matrix" not in arrays:
+        raise ArtifactError("checkpoint is missing array 'matrix'")
+    if arrays["matrix"].shape != matrix.shape:
         raise ArtifactError(
-            f"checkpoint has {meta.get('num_levels')} levels, "
-            f"model has {len(matrices)}"
+            f"checkpoint array 'matrix' has shape {arrays['matrix'].shape}, "
+            f"model expects {matrix.shape}"
         )
-    writes: List[Tuple[np.ndarray, str]] = []
-    for level, matrix in enumerate(matrices):
-        key = f"local_{level}"
-        if key not in arrays:
-            raise ArtifactError(f"checkpoint is missing array '{key}'")
-        if arrays[key].shape != matrix.shape:
-            raise ArtifactError(
-                f"checkpoint array '{key}' has shape {arrays[key].shape}, "
-                f"model expects {matrix.shape}"
-            )
-        writes.append((matrix, key))
-    states = list(adam_states) if adam_states is not None else []
+    writes: List[Tuple[np.ndarray, str]] = [(matrix, "matrix")]
     counters = meta.get("adam_t")
-    if adam_states is not None:
-        if counters is None or len(counters) != len(states):
+    if adam is not None:
+        if counters is None:
             raise ArtifactError("checkpoint is missing Adam step counters")
-        for level, state in enumerate(states):
-            for prefix, target in (("adam_m", state.m), ("adam_v", state.v)):
-                key = f"{prefix}_{level}"
-                if key not in arrays or arrays[key].shape != target.shape:
-                    raise ArtifactError(
-                        f"checkpoint Adam state '{key}' is missing or misshaped"
-                    )
-                writes.append((target, key))
+        if len(counters) != adam.t.size:
+            raise ArtifactError(
+                f"checkpoint has Adam step counters for {len(counters)} levels, "
+                f"model has {adam.t.size} levels"
+            )
+        for key, target in (("adam_m", adam.m), ("adam_v", adam.v)):
+            if key not in arrays or arrays[key].shape != target.shape:
+                raise ArtifactError(
+                    f"checkpoint Adam state '{key}' is missing or misshaped"
+                )
+            writes.append((target, key))
     raw_version = meta.get("model_version")
     if raw_version is not None and (
         isinstance(raw_version, bool)
@@ -154,8 +149,8 @@ def unpack_state(
         )
     for target, key in writes:
         target[...] = arrays[key]
-    for level, state in enumerate(states):
-        state.t = int(counters[level])
+    if adam is not None:
+        adam.t[...] = counters
     return None if raw_version is None else int(raw_version)
 
 
@@ -170,33 +165,31 @@ def restore_rng(rng: np.random.Generator, state: Dict[str, Any]) -> None:
 
 
 def rollback_pair(
-    matrices: Sequence[np.ndarray],
-    adam_states: Sequence[Any],
+    matrix: np.ndarray,
+    adam: Any,
     rng: np.random.Generator,
 ) -> Tuple[Callable[[], Any], Callable[[Any], None]]:
     """The ``snapshot`` / ``restore`` pair :func:`run_with_recovery` rolls
     a training stage back with.
 
-    A snapshot copies the embedding matrices, the Adam moments and step
-    counters and the RNG stream position; restoring writes them back in
+    A snapshot copies the parameter matrix, the Adam moments and step
+    counts and the RNG stream position; restoring writes them back in
     place, so every holder of those arrays sees the rollback.
     """
 
     def snapshot() -> Any:
         return (
-            [m.copy() for m in matrices],
-            [(s.m.copy(), s.v.copy(), s.t) for s in adam_states],
+            matrix.copy(),
+            (adam.m.copy(), adam.v.copy(), adam.t.copy()),
             rng_state(rng),
         )
 
     def restore(snap: Any) -> None:
-        mats, moments, rstate = snap
-        for matrix, saved in zip(matrices, mats):
-            matrix[...] = saved
-        for state, (m, v, t) in zip(adam_states, moments):
-            state.m[...] = m
-            state.v[...] = v
-            state.t = t
+        saved, (m, v, t), rstate = snap
+        matrix[...] = saved
+        adam.m[...] = m
+        adam.v[...] = v
+        adam.t[...] = t
         restore_rng(rng, rstate)
 
     return snapshot, restore

@@ -18,7 +18,7 @@ from repro.core import (
     train_hierarchical,
 )
 from repro.algorithms import select_landmarks
-from repro.core.training import new_adam_states
+from repro.core.training import AdamState
 from repro.graph import PartitionHierarchy
 
 
@@ -32,12 +32,12 @@ def trained_hier(medium_grid):
     scale = float(np.mean(probe)) * np.sqrt(np.pi) / (2 * d)
     hierarchy = PartitionHierarchy(medium_grid, fanout=4, leaf_size=16, seed=0)
     hm = HierarchicalRNE(hierarchy, d, init_scale=scale, seed=0)
-    adam = new_adam_states(hm)
+    adam = AdamState.for_model(hm)
     for focus in range(hierarchy.num_subgraph_levels):
         pairs, phi = subgraph_level_samples(hierarchy, focus, 4000, labeler, rng)
         train_hierarchical(
             hm, pairs, phi, level_schedule(focus, hm.num_levels),
-            TrainConfig(epochs=3, lr=0.05), rng, adam_states=adam,
+            TrainConfig(epochs=3, lr=0.05), rng, adam=adam,
         )
     landmarks = select_landmarks(medium_grid, 24, seed=1)
     pairs, phi = landmark_samples(medium_grid, landmarks, 8000, labeler, rng)
@@ -45,7 +45,7 @@ def trained_hier(medium_grid):
 
     train_hierarchical(
         hm, pairs, phi, vertex_only_schedule(hm.num_levels),
-        TrainConfig(epochs=4, lr=0.05), rng, adam_states=adam,
+        TrainConfig(epochs=4, lr=0.05), rng, adam=adam,
     )
     return medium_grid, hm
 

@@ -28,15 +28,6 @@ class TestAssembly:
             expected += hmodel.locals[level][hierarchy.anc_rows[v, level]]
         np.testing.assert_allclose(hmodel.global_vectors(np.array([v]))[0], expected)
 
-    def test_node_vector_vertex_matches_global(self, hmodel, hierarchy):
-        depth = hierarchy.num_subgraph_levels
-        v = 5
-        node_id = hierarchy.levels[depth][v]
-        np.testing.assert_allclose(
-            hmodel.node_vector(node_id),
-            hmodel.global_vectors(np.array([v]))[0],
-        )
-
     def test_query_consistency_with_model(self, hmodel):
         model = hmodel.to_model()
         for s, t in [(0, 1), (3, 9), (10, 10)]:
@@ -56,7 +47,7 @@ class TestAssembly:
             pytest.skip("need a cell with two vertices")
         s, t = int(cell[0]), int(cell[1])
         before = hmodel.query(s, t)
-        hmodel.locals[0][0] += 123.0
+        hmodel.block[0] += 123.0  # level 0's first row
         assert hmodel.query(s, t) == pytest.approx(before)
 
 
@@ -82,12 +73,55 @@ class TestInit:
         for level, matrix in enumerate(hm.locals):
             assert matrix.shape == (hierarchy.level_size(level), 5)
 
+    def test_levels_drawn_in_order_into_one_block(self, hierarchy):
+        """Each level's ``rng.normal`` draw, in level order, at half the
+        previous scale, lands in its slice of the block."""
+        hm = HierarchicalRNE(hierarchy, d=4, init_scale=2.0, seed=7)
+        rng = np.random.default_rng(7)
+        draws = [
+            rng.normal(scale=2.0 * 0.5**level, size=(hierarchy.level_size(level), 4))
+            for level in range(hierarchy.num_levels)
+        ]
+        assert hm.block.tobytes() == np.concatenate(draws).tobytes()
+        for view, draw in zip(hm.locals, draws):
+            assert view.base is hm.block
+            np.testing.assert_array_equal(view, draw)
+
+
+class TestBlock:
+    def test_locals_are_read_only_views(self, hmodel):
+        with pytest.raises(TypeError):
+            hmodel.locals[0] = np.zeros_like(hmodel.locals[0])
+        with pytest.raises(ValueError):
+            hmodel.locals[0][0] = 1.0
+        assert hmodel.block.flags.writeable
+
+    def test_locals_follow_a_rebound_block(self, hmodel):
+        hmodel.block = hmodel.block + 1.0
+        for level, view in enumerate(hmodel.locals):
+            assert view.base is hmodel.block
+            rows = slice(hmodel.offsets[level], hmodel.offsets[level + 1])
+            np.testing.assert_array_equal(view, hmodel.block[rows])
+
+    def test_block_rows_offset_ancestor_rows(self, hmodel, hierarchy):
+        np.testing.assert_array_equal(
+            hmodel.block_rows, hierarchy.anc_rows + hmodel.offsets[:-1]
+        )
+        assert hmodel.offsets[-1] == hmodel.block.shape[0]
+
+    def test_flat_block_is_the_matrix(self, rng):
+        matrix = rng.normal(size=(9, 3))
+        flat = HierarchicalRNE.flat(matrix)
+        assert flat.block is matrix
+        assert flat.num_levels == 1 and flat.hierarchy is None
+        np.testing.assert_array_equal(flat.global_matrix(), matrix)
+
 
 class TestClone:
     def test_clone_independent(self, hmodel):
         clone = hmodel.clone()
-        clone.locals[0][:] = 0.0
-        assert not np.allclose(hmodel.locals[0], 0.0)
+        clone.block[:] = 0.0
+        assert not np.allclose(hmodel.block, 0.0)
 
     def test_clone_shares_hierarchy(self, hmodel):
         clone = hmodel.clone()
@@ -96,11 +130,3 @@ class TestClone:
     def test_clone_same_queries(self, hmodel):
         clone = hmodel.clone()
         assert clone.query(1, 7) == pytest.approx(hmodel.query(1, 7))
-
-
-class TestNorms:
-    def test_parameter_norm_positive(self, hmodel):
-        assert hmodel.parameter_norm() > 0
-
-    def test_index_bytes_is_frozen_size(self, hmodel, small_grid):
-        assert hmodel.index_bytes() == small_grid.n * 6 * 8

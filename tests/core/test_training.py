@@ -10,13 +10,14 @@ from repro.core import (
     TrainConfig,
     TrainResult,
     level_schedule,
+    lp_distance,
     random_pair_samples,
     train_flat,
     train_hierarchical,
     vertex_only_schedule,
 )
 from repro.core import training
-from repro.core.training import _Adam, _scatter_levels, new_adam_states
+from repro.core.training import AdamState, _scatter_levels
 from repro.graph import PartitionHierarchy
 
 
@@ -29,22 +30,65 @@ def _reference_scatter(ls, lt, grad):
     return rows, full
 
 
-def _reference_scatter_levels(rows_s, rows_t, grad, offsets):
-    """Reference multi-level scatter: one ``_reference_scatter`` per level."""
-    return [
-        _reference_scatter(rows_s[:, l], rows_t[:, l], grad)
-        for l in range(rows_s.shape[1])
-    ]
+class _ReferenceAdam:
+    """Reference lazy Adam: one state per level matrix, one scalar step count."""
+
+    def __init__(self, shape, beta1=0.9, beta2=0.999):
+        self.m = np.zeros(shape, dtype=np.float64)
+        self.v = np.zeros(shape, dtype=np.float64)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.t = 0
+
+    def step_rows(self, rows, grad_rows, lr):
+        self.t += 1
+        self.m[rows] = self.beta1 * self.m[rows] + (1 - self.beta1) * grad_rows
+        self.v[rows] = self.beta2 * self.v[rows] + (1 - self.beta2) * np.square(grad_rows)
+        m_hat = self.m[rows] / (1 - self.beta1**self.t)
+        v_hat = self.v[rows] / (1 - self.beta2**self.t)
+        return -lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-def _reference_step_rows(self, rows, grad_rows, lr):
-    """Reference lazy-Adam step: reads each moment twice."""
-    self.t += 1
-    self.m[rows] = self.beta1 * self.m[rows] + (1 - self.beta1) * grad_rows
-    self.v[rows] = self.beta2 * self.v[rows] + (1 - self.beta2) * np.square(grad_rows)
-    m_hat = self.m[rows] / (1 - self.beta1**self.t)
-    v_hat = self.v[rows] / (1 - self.beta2**self.t)
-    return -lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+def _reference_train(levels, anc, p, pairs, phi, level_lrs, config, rng, states):
+    """Reference trainer: the per-level loop over per-level matrices.
+
+    ``levels`` are trained in place; every active level scatters with its
+    own ``np.add.at`` and steps its own ``_ReferenceAdam`` from ``states``.
+    Returns the per-epoch ``(mse, mean_rel_error)`` lists.
+    """
+    level_lrs = np.asarray(level_lrs, dtype=np.float64)
+
+    def gather(vertices):
+        out = np.zeros((vertices.size, levels[0].shape[1]), dtype=np.float64)
+        for level, matrix in enumerate(levels):
+            out += matrix[anc[vertices, level]]
+        return out
+
+    scale = 1.0
+    if config.optimizer == "adam":
+        probe = slice(0, min(len(pairs), 2048))
+        diff = gather(pairs[probe, 0]) - gather(pairs[probe, 1])
+        scale = training._adam_lr_scale(lp_distance(diff, p), phi[probe])
+    active = [level for level in range(len(levels)) if level_lrs[level] > 0]
+    mse, rel = [], []
+    for _ in range(config.epochs):
+        sq_sum = rel_sum = 0.0
+        for batch in training._epoch_batches(len(pairs), config.batch_size, config.shuffle, rng):
+            s, t = pairs[batch, 0], pairs[batch, 1]
+            grad, resid, _ = training._pair_gradient(gather(s), gather(t), phi[batch], p)
+            sq_sum += float(np.square(resid).sum())
+            rel_sum += float((np.abs(resid) / np.maximum(phi[batch], 1e-12)).sum())
+            for level in active:
+                rows, full = _reference_scatter(anc[s, level], anc[t, level], grad)
+                full /= len(batch)
+                lr = config.lr * level_lrs[level] * scale
+                if config.optimizer == "adam":
+                    levels[level][rows] += states[level].step_rows(rows, full, lr)
+                else:
+                    levels[level][rows] -= lr * full
+        mse.append(sq_sum / len(pairs))
+        rel.append(rel_sum / len(pairs))
+    return mse, rel
 
 
 def _assert_identical(a, b):
@@ -54,10 +98,11 @@ def _assert_identical(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def _assert_same_adam(a, b):
-    _assert_identical(a.m, b.m)
-    _assert_identical(a.v, b.v)
-    assert a.t == b.t
+def _assert_same_block_adam(block, per_level):
+    """A block state equals per-level states: moments and step counts."""
+    _assert_identical(block.m, np.concatenate([state.m for state in per_level]))
+    _assert_identical(block.v, np.concatenate([state.v for state in per_level]))
+    assert block.t.tolist() == [state.t for state in per_level]
 
 
 def _kernel_config(optimizer):
@@ -130,105 +175,127 @@ class TestStepKernel:
     def test_scatter_matches_reference(self, case):
         for levels in (1, 2, 5):
             ls, lt, grad, offsets = _scatter_case(case, levels)
-            scattered = _scatter_levels(ls, lt, grad, offsets)
-            assert len(scattered) == levels
-            for l, (rows, full) in enumerate(scattered):
+            rows, full = _scatter_levels(ls + offsets[:-1], lt + offsets[:-1], grad)
+            bounds = np.searchsorted(rows, offsets)
+            for l in range(levels):
                 ref_rows, ref_full = _reference_scatter(ls[:, l], lt[:, l], grad)
-                _assert_identical(rows, ref_rows)
-                _assert_identical(full, ref_full)
+                part = slice(bounds[l], bounds[l + 1])
+                _assert_identical(rows[part] - offsets[l], ref_rows)
+                _assert_identical(full[part], ref_full)
 
     def test_adam_step_matches_reference(self):
+        """Block Adam over three levels against one reference per level,
+        with a different active subset every step."""
         rng = np.random.default_rng(5)
-        fused, reference = _Adam((40, 6)), _Adam((40, 6))
-        for _ in range(5):
-            rows = np.unique(rng.integers(0, 40, 25))
+        sizes = np.array([7, 40, 13])
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        block = AdamState((offsets[-1], 6), levels=3)
+        reference = [_ReferenceAdam((size, 6)) for size in sizes]
+        lrs = np.array([0.3, 0.1, 0.05])
+        for active in ([0, 1, 2], [1], [0, 2], [2], [0, 1, 2]):
+            per_level = [np.unique(rng.integers(0, sizes[l], 9)) for l in active]
+            rows = np.concatenate([r + offsets[l] for l, r in zip(active, per_level)])
             grad_rows = rng.standard_normal((rows.size, 6))
             grad_rows[0, 0] = -0.0
-            _assert_identical(
-                fused.step_rows(rows, grad_rows, 0.1),
-                _reference_step_rows(reference, rows, grad_rows, 0.1),
-            )
-            _assert_same_adam(fused, reference)
-
-    @staticmethod
-    def _patch_reference(monkeypatch):
-        monkeypatch.setattr(training, "_scatter_levels", _reference_scatter_levels)
-        monkeypatch.setattr(training._Adam, "step_rows", _reference_step_rows)
-
-    @staticmethod
-    def _record_adam(monkeypatch):
-        created = []
-
-        class Recording(training._Adam):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
-
-        monkeypatch.setattr(training, "_Adam", Recording)
-        return created
+            bounds = np.searchsorted(rows, offsets)
+            update = block.step_rows(rows, grad_rows, lrs, bounds)
+            for l, level_rows in zip(active, per_level):
+                mine = slice(bounds[l], bounds[l + 1])
+                _assert_identical(
+                    update[mine],
+                    reference[l].step_rows(level_rows, grad_rows[mine], lrs[l]),
+                )
+            _assert_same_block_adam(block, reference)
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_train_flat_matches_reference(self, medium_grid, labelled, optimizer):
         pairs, phi = labelled
+        pairs, phi = pairs[:3000], phi[:3000]
         config = _kernel_config(optimizer)
-        models, states = [], []
-        for use_reference in (False, True):
-            with pytest.MonkeyPatch.context() as mp:
-                if use_reference:
-                    self._patch_reference(mp)
-                created = self._record_adam(mp)
-                model = RNEModel.random(medium_grid.n, 8, seed=1)
-                train_flat(model, pairs[:3000], phi[:3000], config, rng=7)
-            models.append(model.matrix)
-            states.append(created)
-        _assert_identical(models[0], models[1])
-        assert len(states[0]) == len(states[1]) == (1 if optimizer == "adam" else 0)
-        for fused, reference in zip(*states):
-            _assert_same_adam(fused, reference)
+        model = RNEModel.random(medium_grid.n, 8, seed=1)
+        expected = [model.matrix.copy()]
+        anc = np.arange(medium_grid.n)[:, None]
+        history = _reference_train(
+            expected, anc, model.p, pairs, phi, [1.0], config,
+            np.random.default_rng(7), [_ReferenceAdam(model.matrix.shape)],
+        )
+        result = train_flat(model, pairs, phi, config, rng=7)
+        _assert_identical(model.matrix, expected[0])
+        assert (result.mse, result.mean_rel_error) == history
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_train_hierarchical_matches_reference(
         self, medium_grid, labelled, optimizer
     ):
+        """Block training equals the per-level loop byte for byte — levels,
+        Adam moments and per-level step counts — for single schedules and
+        a freeze-then-unfreeze sequence sharing one optimiser state."""
         pairs, phi = labelled
+        pairs, phi = pairs[:3000], phi[:3000]
         hierarchy = PartitionHierarchy(medium_grid, fanout=4, leaf_size=16, seed=0)
         config = _kernel_config(optimizer)
         num_levels = hierarchy.num_levels
-        initial = HierarchicalRNE(hierarchy, d=8, init_scale=1.0, seed=0).locals
         focused = level_schedule(1, num_levels)
         focused[0] = 0.0
         middle_zero = np.ones(num_levels)
         middle_zero[1] = 0.0
-        schedules = {
-            "focused": focused,
-            "middle_zero": middle_zero,
-            "vertex_only": vertex_only_schedule(num_levels),
-            "all_zero": np.zeros(num_levels),
+        sequences = {
+            "focused": [focused],
+            "middle_zero": [middle_zero],
+            "vertex_only": [vertex_only_schedule(num_levels)],
+            "all_zero": [np.zeros(num_levels)],
+            "freeze_then_unfreeze": [
+                level_schedule(0, num_levels),
+                vertex_only_schedule(num_levels),
+                np.full(num_levels, 0.3),
+            ],
         }
-        for name, lrs in schedules.items():
-            runs = []
-            for use_reference in (False, True):
-                with pytest.MonkeyPatch.context() as mp:
-                    if use_reference:
-                        self._patch_reference(mp)
-                    hmodel = HierarchicalRNE(hierarchy, d=8, init_scale=1.0, seed=0)
-                    states = new_adam_states(hmodel)
-                    train_hierarchical(
-                        hmodel, pairs[:3000], phi[:3000], lrs, config, rng=7,
-                        adam_states=states,
-                    )
-                runs.append((hmodel.locals, states))
-            (locals_a, states_a), (locals_b, states_b) = runs
-            for a, b in zip(locals_a, locals_b):
-                _assert_identical(a, b)
-            for fused, reference in zip(states_a, states_b):
-                _assert_same_adam(fused, reference)
+        for name, schedules in sequences.items():
+            hmodel = HierarchicalRNE(hierarchy, d=8, init_scale=1.0, seed=0)
+            initial = hmodel.block.copy()
+            expected = [m.copy() for m in hmodel.locals]
+            adam = AdamState.for_model(hmodel)
+            reference = [_ReferenceAdam(m.shape) for m in expected]
+            rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+            for lrs in schedules:
+                result = train_hierarchical(
+                    hmodel, pairs, phi, lrs, config, rng=rng, adam=adam
+                )
+                history = _reference_train(
+                    expected, hierarchy.anc_rows, hmodel.p, pairs, phi, lrs,
+                    config, ref_rng, reference,
+                )
+                assert (result.mse, result.mean_rel_error) == history, name
+            _assert_identical(hmodel.block, np.concatenate(expected))
+            if optimizer == "adam":
+                _assert_same_block_adam(adam, reference)
+            else:
+                _assert_same_block_adam(adam, [_ReferenceAdam(m.shape) for m in expected])
             if name == "all_zero":
-                for matrix, before, state in zip(locals_a, initial, states_a):
-                    _assert_identical(matrix, before)
-                    _assert_identical(state.m, np.zeros_like(before))
-                    _assert_identical(state.v, np.zeros_like(before))
-                    assert state.t == 0
+                _assert_identical(hmodel.block, initial)
+                assert not adam.t.any()
+            if name == "freeze_then_unfreeze" and optimizer == "adam":
+                epochs = config.epochs * -(-len(pairs) // config.batch_size)
+                assert adam.t.tolist() == [2 * epochs] * (num_levels - 1) + [3 * epochs]
+
+    def test_mismatched_adam_state_rejected(self, medium_grid, labelled):
+        pairs, phi = labelled
+        hierarchy = PartitionHierarchy(medium_grid, fanout=4, leaf_size=16, seed=0)
+        hmodel = HierarchicalRNE(hierarchy, d=8, seed=0)
+        lrs = np.ones(hmodel.num_levels)
+        foreign = [
+            AdamState.for_model(HierarchicalRNE(hierarchy, d=4, seed=0)),
+            AdamState.for_model(HierarchicalRNE.flat(np.zeros((medium_grid.n, 8)))),
+            AdamState(hmodel.block.shape, levels=hmodel.num_levels - 1),
+        ]
+        before = hmodel.block.copy()
+        for adam in foreign:
+            with pytest.raises(ValueError, match="Adam state"):
+                train_hierarchical(
+                    hmodel, pairs[:100], phi[:100], lrs, TrainConfig(epochs=1),
+                    rng=0, adam=adam,
+                )
+        _assert_identical(hmodel.block, before)
 
 
 class TestSchedules:
@@ -344,13 +411,13 @@ class TestTrainHierarchical:
 
     def test_adam_states_threading(self, hmodel, labelled):
         pairs, phi = labelled
-        states = new_adam_states(hmodel)
+        adam = AdamState.for_model(hmodel)
         lrs = np.ones(hmodel.num_levels)
         train_hierarchical(
             hmodel, pairs[:2000], phi[:2000], lrs, TrainConfig(epochs=1),
-            rng=0, adam_states=states,
+            rng=0, adam=adam,
         )
-        assert states[-1].t > 0
+        assert (adam.t > 0).all()
 
     def test_hier_beats_flat_at_equal_budget(self, medium_grid, labelled):
         """The paper's core Fig. 11 claim at miniature scale."""

@@ -12,8 +12,13 @@ from repro.core import (
     train_hierarchical,
 )
 from repro.core.model import lp_distance, lp_gradient
-from repro.core.training import _Adam, _adam_lr_scale
+from repro.core.training import AdamState, _adam_lr_scale
 from repro.graph import PartitionHierarchy
+
+
+def _step(adam, rows, grad, lr):
+    """One step of a one-level state at rate ``lr``."""
+    return adam.step_rows(rows, grad, np.array([lr]), np.array([0, rows.size]))
 
 
 class TestAdamLrScale:
@@ -38,27 +43,27 @@ class TestAdamLrScale:
 
 class TestLazyAdam:
     def test_untouched_rows_never_move(self):
-        adam = _Adam((10, 4))
+        adam = AdamState((10, 4))
         params = np.ones((10, 4))
         rows = np.array([0, 3])
         grad = np.ones((2, 4))
         for _ in range(20):
-            params[rows] += adam.step_rows(rows, grad, lr=0.1)
+            params[rows] += _step(adam, rows, grad, 0.1)
         untouched = np.delete(params, rows, axis=0)
         np.testing.assert_allclose(untouched, 1.0)
 
     def test_step_magnitude_bounded_by_lr(self):
-        adam = _Adam((4, 3))
+        adam = AdamState((4, 3))
         rows = np.arange(4)
         grad = np.full((4, 3), 1000.0)
-        update = adam.step_rows(rows, grad, lr=0.05)
+        update = _step(adam, rows, grad, 0.05)
         # Bias-corrected first step is exactly -lr * sign(grad).
         np.testing.assert_allclose(np.abs(update), 0.05, rtol=1e-5)
 
     def test_descends_gradient(self):
-        adam = _Adam((2, 2))
+        adam = AdamState((2, 2))
         rows = np.array([0, 1])
-        update = adam.step_rows(rows, np.array([[1.0, -1.0], [2.0, -0.5]]), 0.1)
+        update = _step(adam, rows, np.array([[1.0, -1.0], [2.0, -0.5]]), 0.1)
         assert (update[:, 0] < 0).all()
         assert (update[:, 1] > 0).all()
 

@@ -53,26 +53,20 @@ class TestUpdate:
     def test_recovers_after_perturbation(self, trained):
         graph, rne = trained
         new_graph, changed = _perturb(graph, factor=4.0, count=12, seed=1)
-        # Branch the model so the shared fixture stays pristine.
-        import copy
-
-        hmodel = None
-        # Rebuild a hierarchical view from the pipeline's artefacts.
-        from repro.core.hierarchical import HierarchicalRNE
-
-        hmodel = HierarchicalRNE(rne.hierarchy, rne.model.d, seed=0)
-        # Use the trained global matrix as the vertex level over zeroed
-        # coarse levels — equivalent parameterisation of the same model.
-        for level in range(hmodel.num_levels - 1):
-            hmodel.locals[level][:] = 0.0
-        hmodel.locals[-1] = rne.model.matrix.copy()
-
+        hmodel = _vertex_view_of(rne)
+        before = hmodel.block
         result = update_rne(
             hmodel, new_graph, changed, samples=4000, rounds=4, seed=0
         )
         assert result.affected_vertices > 0
         assert result.error_after <= result.error_before + 1e-9
-        del copy
+        # The publish rebinds the block; its frozen coarse rows are the old
+        # ones and ``changed_rows`` are exactly the moved vertex rows.
+        assert result.published and hmodel.block is not before
+        coarse = hmodel.offsets[-2]
+        np.testing.assert_array_equal(hmodel.block[:coarse], before[:coarse])
+        moved = np.any(hmodel.block[coarse:] != before[coarse:], axis=1)
+        np.testing.assert_array_equal(result.changed_rows, np.flatnonzero(moved))
 
     def test_rejects_mismatched_graph(self, trained):
         graph, rne = trained
@@ -86,12 +80,7 @@ class TestUpdate:
     def test_noop_when_nothing_changed(self, trained):
         """Updating against the same graph must never hurt (keep-best)."""
         graph, rne = trained
-        from repro.core.hierarchical import HierarchicalRNE
-
-        hmodel = HierarchicalRNE(rne.hierarchy, rne.model.d, seed=0)
-        for level in range(hmodel.num_levels - 1):
-            hmodel.locals[level][:] = 0.0
-        hmodel.locals[-1] = rne.model.matrix.copy()
+        hmodel = _vertex_view_of(rne)
         result = update_rne(
             hmodel, graph, np.array([[0, 1]]), samples=1000, rounds=2, seed=0
         )
@@ -99,13 +88,14 @@ class TestUpdate:
 
 
 def _vertex_view_of(rne):
-    """Trainable hierarchical view over the trained global matrix."""
+    """Trainable hierarchical view over the trained global matrix: zero
+    coarse levels and the matrix as the vertex level, an equivalent
+    parameterisation of the same model."""
     from repro.core.hierarchical import HierarchicalRNE
 
     hmodel = HierarchicalRNE(rne.hierarchy, rne.model.d, seed=0)
-    for level in range(hmodel.num_levels - 1):
-        hmodel.locals[level][:] = 0.0
-    hmodel.locals[-1] = rne.model.matrix.copy()
+    hmodel.block[: hmodel.offsets[-2]] = 0.0
+    hmodel.block[hmodel.offsets[-2] :] = rne.model.matrix
     return hmodel
 
 

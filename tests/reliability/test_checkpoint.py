@@ -24,70 +24,78 @@ from repro.reliability.faults import corrupt_file
 
 
 class FakeAdam:
-    """Duck-typed optimiser state (.m / .v / .t), like training._Adam."""
+    """Duck-typed optimiser state (.m / .v / per-level .t), like AdamState."""
 
-    def __init__(self, shape, t=0):
+    def __init__(self, shape, levels=2, t=0):
         self.m = np.zeros(shape, dtype=np.float64)
         self.v = np.zeros(shape, dtype=np.float64)
-        self.t = t
+        self.t = np.full(levels, t, dtype=np.int64)
 
 
 class TestStatePacking:
     def test_roundtrip_with_adam(self, rng):
-        matrices = [rng.normal(size=(4, 2)), rng.normal(size=(3, 2))]
-        adam = [FakeAdam((4, 2), t=7), FakeAdam((3, 2), t=7)]
-        adam[0].m[:] = 0.5
-        arrays, meta = pack_state(matrices, adam)
+        matrix = rng.normal(size=(7, 2))
+        adam = FakeAdam((7, 2), t=7)
+        adam.m[:] = 0.5
+        adam.t[1] = 3
+        arrays, meta = pack_state(matrix, adam)
+        assert sorted(arrays) == ["adam_m", "adam_v", "matrix"]
+        assert meta["adam_t"] == [7, 3]
 
-        fresh_m = [np.zeros((4, 2)), np.zeros((3, 2))]
-        fresh_a = [FakeAdam((4, 2)), FakeAdam((3, 2))]
+        fresh_m, fresh_a = np.zeros((7, 2)), FakeAdam((7, 2))
         unpack_state(arrays, meta, fresh_m, fresh_a)
-        for got, want in zip(fresh_m, matrices):
-            np.testing.assert_array_equal(got, want)
-        assert fresh_a[0].t == 7
-        np.testing.assert_array_equal(fresh_a[0].m, adam[0].m)
+        np.testing.assert_array_equal(fresh_m, matrix)
+        assert fresh_a.t.tolist() == [7, 3]
+        np.testing.assert_array_equal(fresh_a.m, adam.m)
 
     def test_level_count_mismatch(self, rng):
-        arrays, meta = pack_state([rng.normal(size=(4, 2))])
+        arrays, meta = pack_state(rng.normal(size=(4, 2)), FakeAdam((4, 2), levels=2))
         with pytest.raises(ArtifactError, match="levels"):
-            unpack_state(arrays, meta, [np.zeros((4, 2)), np.zeros((3, 2))])
+            unpack_state(arrays, meta, np.zeros((4, 2)), FakeAdam((4, 2), levels=3))
 
     def test_shape_mismatch(self, rng):
-        arrays, meta = pack_state([rng.normal(size=(4, 2))])
+        arrays, meta = pack_state(rng.normal(size=(4, 2)))
         with pytest.raises(ArtifactError, match="shape"):
-            unpack_state(arrays, meta, [np.zeros((5, 2))])
+            unpack_state(arrays, meta, np.zeros((5, 2)))
 
     def test_missing_adam_counters(self, rng):
-        arrays, meta = pack_state([rng.normal(size=(4, 2))])  # no adam saved
+        arrays, meta = pack_state(rng.normal(size=(4, 2)))  # no adam saved
         with pytest.raises(ArtifactError, match="Adam"):
-            unpack_state(arrays, meta, [np.zeros((4, 2))], [FakeAdam((4, 2))])
+            unpack_state(arrays, meta, np.zeros((4, 2)), FakeAdam((4, 2)))
 
     def test_rejected_state_writes_nothing(self, rng):
-        arrays, meta = pack_state([rng.normal(size=(4, 2))])  # no adam saved
-        live = [np.zeros((4, 2))]
+        arrays, meta = pack_state(rng.normal(size=(4, 2)))  # no adam saved
+        live = np.zeros((4, 2))
         with pytest.raises(ArtifactError, match="Adam"):
-            unpack_state(arrays, meta, live, [FakeAdam((4, 2))])
-        np.testing.assert_array_equal(live[0], np.zeros((4, 2)))
+            unpack_state(arrays, meta, live, FakeAdam((4, 2)))
+        np.testing.assert_array_equal(live, np.zeros((4, 2)))
+
+    def test_per_level_layout_rejected(self, rng):
+        """Checkpoints from the per-level layout carry ``local_{l}`` arrays
+        and no ``matrix``; they are rejected before anything is written."""
+        legacy = {"local_0": rng.normal(size=(2, 2)), "local_1": rng.normal(size=(4, 2))}
+        live = np.zeros((6, 2))
+        with pytest.raises(ArtifactError, match="'matrix'"):
+            unpack_state(legacy, {"num_levels": 2}, live)
+        np.testing.assert_array_equal(live, np.zeros((6, 2)))
 
     def test_rollback_pair_restores_in_place(self, rng):
-        matrices = [rng.normal(size=(4, 2)), rng.normal(size=(3, 2))]
-        adam = [FakeAdam((4, 2), t=3), FakeAdam((3, 2), t=3)]
+        matrix = rng.normal(size=(7, 2))
+        adam = FakeAdam((7, 2), t=3)
         gen = np.random.default_rng(5)
-        snapshot, restore = rollback_pair(matrices, adam, gen)
+        snapshot, restore = rollback_pair(matrix, adam, gen)
         snap = snapshot()
-        before = [m.copy() for m in matrices]
+        before = matrix.copy()
         expected_draw = gen.normal(size=3)
-        first = matrices[0]
-        matrices[0] += 1.0
-        matrices[1] = np.zeros((3, 2))  # rebound entry, as keep-best does
-        adam[1].m[:] = 9.0
-        adam[1].t = 11
+        moments = adam.m
+        matrix += 1.0
+        adam.m[:] = 9.0
+        adam.t[1] = 11
         restore(snap)
-        assert matrices[0] is first
-        for got, want in zip(matrices, before):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(adam[1].m, np.zeros((3, 2)))
-        assert adam[1].t == 3
+        np.testing.assert_array_equal(matrix, before)
+        assert adam.m is moments
+        np.testing.assert_array_equal(adam.m, np.zeros((7, 2)))
+        assert adam.t.tolist() == [3, 3]
         np.testing.assert_array_equal(gen.normal(size=3), expected_draw)
 
     def test_rng_state_roundtrip_is_json_safe(self):
@@ -105,11 +113,11 @@ class TestStatePacking:
 class TestCheckpointManager:
     def test_save_load_roundtrip(self, tmp_path, rng):
         mgr = CheckpointManager(tmp_path)
-        arrays, meta = pack_state([rng.normal(size=(4, 2))])
+        arrays, meta = pack_state(rng.normal(size=(4, 2)))
         meta["extra"] = [1, 2]
         mgr.save("vertex", arrays, meta, step=3)
         back, back_meta = mgr.load("vertex")
-        np.testing.assert_array_equal(back["local_0"], arrays["local_0"])
+        np.testing.assert_array_equal(back["matrix"], arrays["matrix"])
         assert back_meta["step"] == 3
         assert back_meta["stage"] == "vertex"
         assert back_meta["extra"] == [1, 2]
@@ -121,7 +129,7 @@ class TestCheckpointManager:
 
     def test_latest_picks_highest_step(self, tmp_path, rng):
         mgr = CheckpointManager(tmp_path)
-        arrays, meta = pack_state([rng.normal(size=(2, 2))])
+        arrays, meta = pack_state(rng.normal(size=(2, 2)))
         mgr.save("early", arrays, meta, step=0)
         mgr.save("late", arrays, meta, step=1)
         stage, _, got_meta = mgr.latest()
@@ -130,7 +138,7 @@ class TestCheckpointManager:
 
     def test_latest_skips_corrupt_and_falls_back(self, tmp_path, rng):
         mgr = CheckpointManager(tmp_path)
-        arrays, meta = pack_state([rng.normal(size=(2, 2))])
+        arrays, meta = pack_state(rng.normal(size=(2, 2)))
         mgr.save("early", arrays, meta, step=0)
         mgr.save("late", arrays, meta, step=1)
         corrupt_file(mgr.path_for("late"), seed=1, nbytes=8)
@@ -145,7 +153,7 @@ class TestCheckpointManager:
     def test_graph_binding(self, tmp_path, rng):
         g1 = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         g2 = Graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
-        arrays, meta = pack_state([rng.normal(size=(2, 2))])
+        arrays, meta = pack_state(rng.normal(size=(2, 2)))
         CheckpointManager(tmp_path, graph=g1).save("s", arrays, meta, step=0)
         other = CheckpointManager(tmp_path, graph=g2)
         assert other.latest() is None  # wrong-graph checkpoint is skipped
@@ -153,7 +161,7 @@ class TestCheckpointManager:
 
     def test_clear(self, tmp_path, rng):
         mgr = CheckpointManager(tmp_path)
-        arrays, meta = pack_state([rng.normal(size=(2, 2))])
+        arrays, meta = pack_state(rng.normal(size=(2, 2)))
         mgr.save("s", arrays, meta, step=0)
         mgr.clear()
         assert mgr.stages_on_disk() == []

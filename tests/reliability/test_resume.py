@@ -159,6 +159,41 @@ class TestFlatResume:
         assert resumed.history.phase_errors == baseline.history.phase_errors
 
 
+class TestLegacyCheckpoint:
+    def test_per_level_checkpoint_starts_fresh(
+        self, rel_graph, rel_config, rel_rne, tmp_path
+    ):
+        """Checkpoints in the per-level layout (``local_{l}``,
+        ``adam_m_{l}``, ``adam_v_{l}``) are rejected as unusable, and the
+        build equals a fresh one."""
+        manager = CheckpointManager(tmp_path, graph=rel_graph)
+        build_rne(rel_graph, rel_config, checkpoint_dir=str(tmp_path))
+        arrays, meta = manager.load("vertex")
+        manager.clear()
+        hierarchy = rel_rne.hierarchy
+        sizes = [hierarchy.level_size(l) for l in range(hierarchy.num_levels)]
+        bounds = np.cumsum([0] + sizes)
+        legacy = {}
+        for key, prefix in (("matrix", "local"), ("adam_m", "adam_m"), ("adam_v", "adam_v")):
+            for level in range(len(sizes)):
+                legacy[f"{prefix}_{level}"] = arrays[key][bounds[level] : bounds[level + 1]]
+        step = meta["step"]
+        meta = {k: v for k, v in meta.items() if k not in ("stage", "step")}
+        meta["num_levels"] = len(sizes)
+        manager.save("vertex", legacy, meta, step=step)
+
+        resumed = build_rne(
+            rel_graph, rel_config, checkpoint_dir=str(tmp_path), resume=True
+        )
+        assert any(
+            "checkpoint 'vertex' unusable" in n and "starting fresh" in n
+            for n in resumed.history.notes
+        )
+        assert not any("resumed from" in n for n in resumed.history.notes)
+        np.testing.assert_array_equal(resumed.model.matrix, rel_rne.model.matrix)
+        assert resumed.history.phase_errors == rel_rne.history.phase_errors
+
+
 class TestNoJointResume:
     def test_crash_and_resume_without_joint_stage(
         self, rel_graph, rel_config, tmp_path

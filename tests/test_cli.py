@@ -188,6 +188,3 @@ class TestUpdateCommand:
         load_graph = new_graph if record["graph_changed"] else graph
         loaded = RNE.load(str(updated), load_graph)
         assert loaded.version == record["version_after"]
-
-    def test_updates_experiment_registered(self):
-        assert "updates" in EXPERIMENTS
