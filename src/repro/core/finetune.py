@@ -70,9 +70,11 @@ def active_finetune(
 
     Each round re-measures the bucketed validation error of the current
     model, draws ``samples_per_round`` pairs targeted at high-error buckets
-    and trains on them.  With ``keep_best`` the model is rolled back to the
-    best-validation round at the end (fine-tuning on a narrow distribution
-    can overshoot).
+    and trains on them.  A flat table — an :class:`RNEModel` or a
+    one-level :class:`HierarchicalRNE` without a hierarchy — trains in
+    place and restarts Adam every round.  With ``keep_best`` the model is
+    rolled back to the best-validation round at the end (fine-tuning on a
+    narrow distribution can overshoot).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if config is None:
@@ -85,7 +87,11 @@ def active_finetune(
         if isinstance(model, RNEModel)
         else model
     )
-    adam = None if isinstance(model, RNEModel) else AdamState.for_model(hmodel)
+    adam = (
+        AdamState.for_model(hmodel)
+        if hmodel.hierarchy is not None and config.optimizer == "adam"
+        else None
+    )
     schedule = vertex_only_schedule(hmodel.num_levels)
     val_bucket_ids = buckets.bucket_of_pairs(val_pairs)
     result = FinetuneResult()

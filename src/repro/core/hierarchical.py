@@ -14,8 +14,10 @@ better optimum than the flat table (reproduced in Fig. 11).
 
 All levels live in one parameter block, so one optimiser state and one
 in-place update per batch cover the whole model.  The flat table itself is
-the one-level case (:meth:`HierarchicalRNE.flat`): every vertex is its own
-only ancestor, so one training loop serves both.
+the one-level case (``hierarchy=None``): every vertex is its own only
+ancestor, so one training loop serves both.  A model this class draws
+holds its block in :attr:`HierarchicalRNE.PARAM_DTYPE` (float32, the
+paper's TensorFlow default); assembled global vectors are float64.
 """
 
 from __future__ import annotations
@@ -34,14 +36,19 @@ class HierarchicalRNE:
     level ``l`` owns rows ``offsets[l]:offsets[l + 1]``, and
     ``block_rows = anc_rows + offsets[:-1]`` are each vertex's ancestor
     rows in that space, so ``v_global = sum_l block[block_rows[v, l]]``.
-    Training updates ``block`` in place; a publish rebinds it whole.
+    Training updates ``block`` in place, in the block's dtype; a publish
+    rebinds it whole.
 
     Parameters
     ----------
     hierarchy:
-        The aligned partition tree.
+        The aligned partition tree, or ``None`` for the flat table: one
+        level of ``n`` rows, every vertex its own only ancestor.
     d:
         Embedding dimension.
+    n:
+        Vertex count; required without a hierarchy, and must match it
+        when both are given.
     p:
         Metric order for queries (1 recommended).
     init_scale:
@@ -49,6 +56,10 @@ class HierarchicalRNE:
         initialised with geometrically decaying scale — coarse levels carry
         larger norms, matching the model's intended norm hierarchy.
     """
+
+    #: dtype of every block this constructor draws.  Training follows the
+    #: block's dtype, so this is the one place that fixes it.
+    PARAM_DTYPE = np.dtype(np.float32)
 
     hierarchy: PartitionHierarchy | None
     anc_rows: np.ndarray
@@ -60,19 +71,31 @@ class HierarchicalRNE:
 
     def __init__(
         self,
-        hierarchy: PartitionHierarchy,
+        hierarchy: PartitionHierarchy | None,
         d: int,
         *,
+        n: int | None = None,
         p: float = 1.0,
         init_scale: float = 1.0,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        sizes = [hierarchy.level_size(level) for level in range(hierarchy.num_levels)]
-        self._bind(hierarchy, np.empty((sum(sizes), int(d)), dtype=np.float64), p)
+        if hierarchy is None:
+            if n is None:
+                raise ValueError("a model without a hierarchy needs n")
+            sizes = [int(n)]
+        else:
+            if n is not None and n != hierarchy.anc_rows.shape[0]:
+                raise ValueError(
+                    f"n={n} but the hierarchy has {hierarchy.anc_rows.shape[0]} vertices"
+                )
+            sizes = [hierarchy.level_size(level) for level in range(hierarchy.num_levels)]
+        self._bind(hierarchy, np.empty((sum(sizes), int(d)), dtype=self.PARAM_DTYPE), p)
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         scale = init_scale
+        # Each level's float64 draw, in level order, rounded into its slice:
+        # the RNG stream advances exactly as for a float64 block.
         for level, size in enumerate(sizes):
             rows = slice(self.offsets[level], self.offsets[level + 1])
             self.block[rows] = rng.normal(scale=scale, size=(size, self.d))
@@ -114,7 +137,8 @@ class HierarchicalRNE:
 
         The ancestor rows are the identity ``arange(n)[:, None]`` and there
         is no partition tree (``hierarchy`` is None), so training this model
-        with ``level_lrs=[1.0]`` trains the flat table in place.
+        with ``level_lrs=[1.0]`` trains the flat table in place, in
+        ``matrix``'s own dtype.
         """
         return cls._from_block(None, matrix, p)
 
@@ -143,7 +167,10 @@ class HierarchicalRNE:
     # ------------------------------------------------------------------
     @shapes(vertices="(k,):int", ret="(k,d):float")
     def global_vectors(self, vertices: np.ndarray) -> np.ndarray:
-        """Global embeddings for an array of vertex ids (ancestor sums)."""
+        """Global embeddings for an array of vertex ids (ancestor sums).
+
+        The sums accumulate in float64 whatever the block's dtype.
+        """
         block = self.block
         rows = self.block_rows[np.asarray(vertices, dtype=np.int64)]
         out = np.zeros((rows.shape[0], self.d), dtype=np.float64)

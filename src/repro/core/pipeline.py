@@ -320,10 +320,11 @@ def build_rne(
     latest *valid* checkpoint from that directory — corrupt ones are
     skipped — and re-runs only the remaining stages.  A resumed build is
     bit-identical to an uninterrupted one because checkpoints carry the
-    embedding state, the per-level Adam moments and the RNG stream
-    position.  Each training stage also runs under divergence recovery:
-    non-finite or regressing loss rolls the stage back and retries at a
-    reduced learning rate (see :mod:`repro.reliability.checkpoint`).
+    embedding state, the Adam moments with their per-level step counts
+    (``optimizer="adam"`` only) and the RNG stream position.  Each
+    training stage also runs under divergence recovery: non-finite or
+    regressing loss rolls the stage back and retries at a reduced learning
+    rate (see :mod:`repro.reliability.checkpoint`).
 
     ``config.workers`` fans ground-truth labelling over a process pool and
     ``config.prefetch`` labels each phase's samples on a background thread
@@ -361,13 +362,9 @@ def build_rne(
             hierarchy = PartitionHierarchy(
                 graph, fanout=config.fanout, leaf_size=config.leaf_size, seed=rng
             )
-            hmodel = HierarchicalRNE(
-                hierarchy, config.d, p=config.p, init_scale=scale, seed=rng
-            )
-        else:
-            hmodel = HierarchicalRNE.flat(
-                rng.normal(scale=scale, size=(graph.n, config.d)), p=config.p
-            )
+        hmodel = HierarchicalRNE(
+            hierarchy, config.d, n=graph.n, p=config.p, init_scale=scale, seed=rng
+        )
         # One labelling source set for every stage, from its own stream.
         sources = source_set(graph, hierarchy, _stage_rng(config.seed, "sources"))
         stages = _stage_table(
@@ -441,7 +438,7 @@ def _restore_latest(
     manager: CheckpointManager,
     stage_names: list[str],
     block: np.ndarray,
-    adam: AdamState,
+    adam: AdamState | None,
     rng: np.random.Generator,
     history: BuildHistory,
 ) -> int:
@@ -616,18 +613,11 @@ def _run_stages(
     restored stream position already accounts for them.
     """
     names = [stage.name for stage in stages]
-    adam = AdamState.for_model(hmodel)
+    adam = AdamState.for_model(hmodel) if config.optimizer == "adam" else None
     done = -1
     if manager is not None and resume:
         done = _restore_latest(manager, names, hmodel.block, adam, rng, history)
     snapshot, restore = rollback_pair(hmodel.block, adam, rng)
-    # Fine-tuning keeps its own optimiser.  The flat table is fine-tuned
-    # as a model over its block, which restarts Adam every round.
-    tuned: HierarchicalRNE | RNEModel = (
-        hmodel
-        if hmodel.hierarchy is not None
-        else RNEModel(hmodel.block, p=hmodel.p)
-    )
 
     # Every pending step's samples are queued on the prefetch pipeline:
     # each job draws from its own per-stage RNG stream, so step-(k+1)
@@ -649,7 +639,7 @@ def _run_stages(
                 )
                 outcome = run_with_recovery(
                     lambda scale, _s=stage: active_finetune(
-                        tuned,
+                        hmodel,
                         buckets,
                         labeler,
                         val_pairs,

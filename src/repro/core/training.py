@@ -86,23 +86,28 @@ class AdamState:
     the rows present in the batch — the same fix TensorFlow ships as
     ``LazyAdamOptimizer`` for embedding training.
 
-    The moments cover the whole block; the step count ``t`` is kept per
-    level, because a frozen level takes no steps and must keep its own
-    bias correction when it is unfrozen.
+    The moments cover the whole block, in the block's dtype; the step
+    count ``t`` is kept per level, because a frozen level takes no steps
+    and must keep its own bias correction when it is unfrozen.
     """
 
     beta1 = 0.9
     beta2 = 0.999
 
-    def __init__(self, shape: tuple[int, ...], levels: int = 1) -> None:
-        self.m = np.zeros(shape, dtype=np.float64)
-        self.v = np.zeros(shape, dtype=np.float64)
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        levels: int = 1,
+        dtype: np.dtype | type = np.float64,
+    ) -> None:
+        self.m = np.zeros(shape, dtype=dtype)
+        self.v = np.zeros(shape, dtype=dtype)
         self.t = np.zeros(levels, dtype=np.int64)
 
     @classmethod
     def for_model(cls, hmodel: HierarchicalRNE) -> "AdamState":
         """Fresh state over ``hmodel``'s block, for threading through calls."""
-        return cls(hmodel.block.shape, hmodel.num_levels)
+        return cls(hmodel.block.shape, hmodel.num_levels, hmodel.block.dtype)
 
     def step_rows(
         self, rows: np.ndarray, grad_rows: np.ndarray, lrs: np.ndarray, bounds: np.ndarray
@@ -111,7 +116,9 @@ class AdamState:
 
         ``rows`` are sorted, so level ``l``'s rows are
         ``rows[bounds[l]:bounds[l + 1]]``; ``lrs`` holds one learning rate
-        per level.  Every level with rows in the batch takes one step.
+        per level, in the moments' dtype (a float64 rate would promote a
+        float32 step to float64).  Every level with rows in the batch takes
+        one step.
         """
         counts = np.diff(bounds)
         self.t += counts > 0
@@ -180,11 +187,11 @@ def _scatter_levels(
     Returns the sorted unique touched rows and their summed gradients.
 
     The product is a CSC matrix with one column per row of the stacked
-    ``[grad; -grad]`` and one 1.0 per level in each column.  scipy's
-    ``csc_matvecs`` walks the columns in input order and adds into a zeroed
-    output, the order ``np.add.at`` uses, so every row's sum is
-    bit-identical to scattering ``grad`` then ``-grad`` one level at a
-    time (see docs/TRAINING.md, "SGD step kernel").
+    ``[grad; -grad]`` and one 1.0 (in ``grad``'s dtype) per level in each
+    column.  scipy's ``csc_matvecs`` walks the columns in input order and
+    adds into a zeroed output, the order ``np.add.at`` uses, so every row's
+    sum is bit-identical to scattering ``grad`` then ``-grad`` one level at
+    a time (see docs/TRAINING.md, "SGD step kernel").
     """
     k, levels = rows_s.shape
     ids = np.concatenate([rows_s, rows_t]).ravel()
@@ -193,7 +200,7 @@ def _scatter_levels(
     rows = np.flatnonzero(touched)
     scatter = sparse.csc_matrix(
         (
-            np.ones(ids.size, dtype=np.float64),
+            np.ones(ids.size, dtype=grad.dtype),
             compact[ids],
             np.arange(0, ids.size + 1, levels),
         ),
@@ -216,7 +223,7 @@ def train_flat(
 
     The flat table is a one-level hierarchy, so this is
     :func:`train_hierarchical` on :meth:`HierarchicalRNE.flat` at rate 1
-    with a fresh optimiser.
+    with a fresh optimiser; it trains in the model's float64.
     """
     return train_hierarchical(
         HierarchicalRNE.flat(model.matrix, p=model.p),
@@ -247,8 +254,13 @@ def train_hierarchical(
     level (``ValueError`` otherwise); a level with rate 0 is frozen (its
     gradient is never even computed).  Passing the same ``adam`` state
     across successive calls keeps optimiser momentum through the
-    multi-step schedule of Algorithm 1; a state whose moments or level
-    count do not match the model's block is a ``ValueError``.
+    multi-step schedule of Algorithm 1; a state whose moments (shape or
+    dtype) or level count do not match the model's block is a
+    ``ValueError``.
+
+    The step kernel (gathers, gradient, scatter, optimiser step) runs in
+    the block's dtype; the residual scale, the learning rates and the
+    per-epoch error sums are computed in float64.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -263,11 +275,14 @@ def train_hierarchical(
     if pairs.shape[0] != phi.shape[0]:
         raise ValueError("pairs and phi must align")
     if adam is not None and (
-        adam.m.shape != hmodel.block.shape or adam.t.shape != (hmodel.num_levels,)
+        adam.m.shape != hmodel.block.shape
+        or adam.t.shape != (hmodel.num_levels,)
+        or adam.m.dtype != hmodel.block.dtype
     ):
         raise ValueError(
-            f"Adam state covers {adam.m.shape} over {adam.t.size} levels, "
-            f"model block is {hmodel.block.shape} over {hmodel.num_levels} levels"
+            f"Adam state covers {adam.m.shape} {adam.m.dtype} over {adam.t.size} "
+            f"levels, model block is {hmodel.block.shape} {hmodel.block.dtype} "
+            f"over {hmodel.num_levels} levels"
         )
     result = TrainResult()
     if pairs.shape[0] == 0:
@@ -286,7 +301,7 @@ def train_hierarchical(
     block_rows = hmodel.block_rows
     offsets = hmodel.offsets
     active = np.flatnonzero(level_lrs > 0)
-    lrs = config.lr * level_lrs * scale
+    lrs = (config.lr * level_lrs * scale).astype(block.dtype)
 
     for epoch in range(config.epochs):
         sq_sum = 0.0
@@ -295,14 +310,20 @@ def train_hierarchical(
         for batch in _epoch_batches(len(pairs), config.batch_size, config.shuffle, rng):
             rows_s = block_rows[pairs[batch, 0]]
             rows_t = block_rows[pairs[batch, 1]]
-            vs = np.zeros((len(batch), hmodel.d), dtype=np.float64)
-            vt = np.zeros((len(batch), hmodel.d), dtype=np.float64)
+            vs = np.zeros((len(batch), hmodel.d), dtype=block.dtype)
+            vt = np.zeros((len(batch), hmodel.d), dtype=block.dtype)
             for level in range(hmodel.num_levels):
                 vs += block[rows_s[:, level]]
                 vt += block[rows_t[:, level]]
-            grad, resid, _ = _pair_gradient(vs, vt, phi[batch], hmodel.p)
+            # The labels join the kernel in its dtype: float64 labels would
+            # promote the gradient, scatter and step back to float64.
+            phi_batch = phi[batch]
+            grad, resid, _ = _pair_gradient(
+                vs, vt, phi_batch.astype(block.dtype, copy=False), hmodel.p
+            )
+            resid = resid.astype(np.float64, copy=False)
             sq_sum += float(np.square(resid).sum())
-            rel_sum += float((np.abs(resid) / np.maximum(phi[batch], 1e-12)).sum())
+            rel_sum += float((np.abs(resid) / np.maximum(phi_batch, 1e-12)).sum())
             if not active.size:
                 continue
             rows, full = _scatter_levels(rows_s[:, active], rows_t[:, active], grad)

@@ -191,7 +191,11 @@ def update_rne(
 
         train_config = config if config is not None else TrainConfig(epochs=2, lr=0.01)
         scratch = hmodel.clone()
-        adam = AdamState.for_model(scratch)
+        adam = (
+            AdamState.for_model(scratch)
+            if train_config.optimizer == "adam"
+            else None
+        )
         schedule = vertex_only_schedule(scratch.num_levels)
 
         def draw(k: int) -> np.ndarray:

@@ -1,8 +1,11 @@
 """RNE002 / RNE003: array-discipline rules.
 
-The L1 SGD math in ``core/`` assumes float64 everywhere and assumes callers'
-arrays are not mutated behind their back; both assumptions break silently,
-so both are enforced statically.
+The L1 SGD math in ``core/`` runs in the dtype of the parameter block it
+trains (float32 for built models, float64 for ``RNEModel`` tables) and
+assumes callers' arrays are not mutated behind their back.  A constructor
+whose dtype defaults to float64 silently promotes a float32 kernel, and a
+mutated caller array silently corrupts training, so both are enforced
+statically.
 """
 
 from __future__ import annotations

@@ -106,11 +106,12 @@ def unpack_state(
     """Restore packed state *in place* into ``matrix`` / ``adam``.
 
     Shape mismatches (a checkpoint from a different architecture or
-    hierarchy), missing Adam state and the per-level layout of older
-    checkpoints (``local_{l}`` arrays, no ``matrix``) raise
-    :class:`ArtifactError` rather than silently writing misaligned
-    parameters; everything is checked before anything is written, so a
-    rejected checkpoint leaves the live state untouched.  Returns the
+    hierarchy), dtype mismatches (a float64 checkpoint would resume onto
+    a rounded float32 state), missing Adam state and the per-level layout
+    of older checkpoints (``local_{l}`` arrays, no ``matrix``) raise
+    :class:`ArtifactError` rather than silently writing misaligned or
+    cast parameters; everything is checked before anything is written, so
+    a rejected checkpoint leaves the live state untouched.  Returns the
     embedding version the checkpoint was packed with
     (``meta["model_version"]``), or ``None`` for checkpoints written
     before live updates existed.
@@ -122,6 +123,7 @@ def unpack_state(
             f"checkpoint array 'matrix' has shape {arrays['matrix'].shape}, "
             f"model expects {matrix.shape}"
         )
+    _check_dtype(arrays, "matrix", matrix)
     writes: List[Tuple[np.ndarray, str]] = [(matrix, "matrix")]
     counters = meta.get("adam_t")
     if adam is not None:
@@ -137,6 +139,7 @@ def unpack_state(
                 raise ArtifactError(
                     f"checkpoint Adam state '{key}' is missing or misshaped"
                 )
+            _check_dtype(arrays, key, target)
             writes.append((target, key))
     raw_version = meta.get("model_version")
     if raw_version is not None and (
@@ -154,6 +157,14 @@ def unpack_state(
     return None if raw_version is None else int(raw_version)
 
 
+def _check_dtype(arrays: Dict[str, np.ndarray], key: str, target: np.ndarray) -> None:
+    if arrays[key].dtype != target.dtype:
+        raise ArtifactError(
+            f"checkpoint array '{key}' is {arrays[key].dtype}, "
+            f"live state is {target.dtype}"
+        )
+
+
 def rng_state(rng: np.random.Generator) -> Dict[str, Any]:
     """JSON-serialisable snapshot of the generator's stream position."""
     return dict(rng.bit_generator.state)
@@ -166,30 +177,29 @@ def restore_rng(rng: np.random.Generator, state: Dict[str, Any]) -> None:
 
 def rollback_pair(
     matrix: np.ndarray,
-    adam: Any,
+    adam: Optional[Any],
     rng: np.random.Generator,
 ) -> Tuple[Callable[[], Any], Callable[[Any], None]]:
     """The ``snapshot`` / ``restore`` pair :func:`run_with_recovery` rolls
     a training stage back with.
 
     A snapshot copies the parameter matrix, the Adam moments and step
-    counts and the RNG stream position; restoring writes them back in
-    place, so every holder of those arrays sees the rollback.
+    counts (when there is an Adam state) and the RNG stream position;
+    restoring writes them back in place, so every holder of those arrays
+    sees the rollback.
     """
 
     def snapshot() -> Any:
-        return (
-            matrix.copy(),
-            (adam.m.copy(), adam.v.copy(), adam.t.copy()),
-            rng_state(rng),
+        moments = (
+            None if adam is None else (adam.m.copy(), adam.v.copy(), adam.t.copy())
         )
+        return matrix.copy(), moments, rng_state(rng)
 
     def restore(snap: Any) -> None:
-        saved, (m, v, t), rstate = snap
+        saved, moments, rstate = snap
         matrix[...] = saved
-        adam.m[...] = m
-        adam.v[...] = v
-        adam.t[...] = t
+        if moments is not None:
+            adam.m[...], adam.v[...], adam.t[...] = moments
         restore_rng(rng, rstate)
 
     return snapshot, restore

@@ -68,6 +68,24 @@ class TestInit:
         with pytest.raises(ValueError):
             HierarchicalRNE(hierarchy, d=0)
 
+    def test_flat_table_without_hierarchy(self, small_grid):
+        """``hierarchy=None`` draws the one-level flat table: ``n`` rows
+        holding the float32-rounded ``rng.normal`` draw."""
+        hm = HierarchicalRNE(None, d=4, n=small_grid.n, init_scale=2.0, seed=7)
+        draw = np.random.default_rng(7).normal(scale=2.0, size=(small_grid.n, 4))
+        assert hm.hierarchy is None and hm.num_levels == 1
+        assert hm.block.tobytes() == draw.astype(np.float32).tobytes()
+        np.testing.assert_array_equal(hm.block_rows[:, 0], np.arange(small_grid.n))
+
+    def test_vertex_count_required_without_hierarchy_and_checked_with_one(
+        self, hierarchy, small_grid
+    ):
+        with pytest.raises(ValueError, match="needs n"):
+            HierarchicalRNE(None, d=4)
+        with pytest.raises(ValueError, match="vertices"):
+            HierarchicalRNE(hierarchy, d=4, n=small_grid.n + 1)
+        assert HierarchicalRNE(hierarchy, d=4, n=small_grid.n).n == small_grid.n
+
     def test_level_matrix_shapes(self, hierarchy):
         hm = HierarchicalRNE(hierarchy, d=5, seed=0)
         for level, matrix in enumerate(hm.locals):
@@ -75,13 +93,15 @@ class TestInit:
 
     def test_levels_drawn_in_order_into_one_block(self, hierarchy):
         """Each level's ``rng.normal`` draw, in level order, at half the
-        previous scale, lands in its slice of the block."""
+        previous scale, lands rounded to float32 in its slice of the block."""
         hm = HierarchicalRNE(hierarchy, d=4, init_scale=2.0, seed=7)
         rng = np.random.default_rng(7)
         draws = [
             rng.normal(scale=2.0 * 0.5**level, size=(hierarchy.level_size(level), 4))
             for level in range(hierarchy.num_levels)
         ]
+        draws = [draw.astype(np.float32) for draw in draws]
+        assert hm.block.dtype == HierarchicalRNE.PARAM_DTYPE == np.float32
         assert hm.block.tobytes() == np.concatenate(draws).tobytes()
         for view, draw in zip(hm.locals, draws):
             assert view.base is hm.block

@@ -1,5 +1,7 @@
 """Tests for the SGD/Adam embedding trainers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,22 @@ from repro.core.training import AdamState, _scatter_levels
 from repro.graph import PartitionHierarchy
 
 
+#: The step kernel runs in the block's dtype: float32 for every model
+#: ``HierarchicalRNE`` draws, float64 for ``train_flat`` on an ``RNEModel``.
+DTYPES = [np.float64, np.float32]
+
+#: ``(optimizer, dtype)`` cases; the float64 cases keep their plain ids.
+KERNEL_CASES = pytest.mark.parametrize(
+    "optimizer,dtype",
+    [("adam", np.float64), ("sgd", np.float64), ("adam", np.float32), ("sgd", np.float32)],
+    ids=["adam", "sgd", "adam-float32", "sgd-float32"],
+)
+
+
 def _reference_scatter(ls, lt, grad):
     """Reference scatter: ``searchsorted`` positions and two ``np.add.at``."""
     rows = np.unique(np.concatenate([ls, lt]))
-    full = np.zeros((rows.size, grad.shape[1]), dtype=np.float64)
+    full = np.zeros((rows.size, grad.shape[1]), dtype=grad.dtype)
     np.add.at(full, np.searchsorted(rows, ls), grad)
     np.add.at(full, np.searchsorted(rows, lt), -grad)
     return rows, full
@@ -33,9 +47,9 @@ def _reference_scatter(ls, lt, grad):
 class _ReferenceAdam:
     """Reference lazy Adam: one state per level matrix, one scalar step count."""
 
-    def __init__(self, shape, beta1=0.9, beta2=0.999):
-        self.m = np.zeros(shape, dtype=np.float64)
-        self.v = np.zeros(shape, dtype=np.float64)
+    def __init__(self, shape, beta1=0.9, beta2=0.999, dtype=np.float64):
+        self.m = np.zeros(shape, dtype=dtype)
+        self.v = np.zeros(shape, dtype=dtype)
         self.beta1 = beta1
         self.beta2 = beta2
         self.t = 0
@@ -54,12 +68,15 @@ def _reference_train(levels, anc, p, pairs, phi, level_lrs, config, rng, states)
 
     ``levels`` are trained in place; every active level scatters with its
     own ``np.add.at`` and steps its own ``_ReferenceAdam`` from ``states``.
-    Returns the per-epoch ``(mse, mean_rel_error)`` lists.
+    The step runs in the levels' dtype (labels and rates cast to it); the
+    Adam scale probe and the error sums run in float64.  Returns the
+    per-epoch ``(mse, mean_rel_error)`` lists.
     """
     level_lrs = np.asarray(level_lrs, dtype=np.float64)
+    dtype = levels[0].dtype
 
-    def gather(vertices):
-        out = np.zeros((vertices.size, levels[0].shape[1]), dtype=np.float64)
+    def gather(vertices, out_dtype):
+        out = np.zeros((vertices.size, levels[0].shape[1]), dtype=out_dtype)
         for level, matrix in enumerate(levels):
             out += matrix[anc[vertices, level]]
         return out
@@ -67,7 +84,7 @@ def _reference_train(levels, anc, p, pairs, phi, level_lrs, config, rng, states)
     scale = 1.0
     if config.optimizer == "adam":
         probe = slice(0, min(len(pairs), 2048))
-        diff = gather(pairs[probe, 0]) - gather(pairs[probe, 1])
+        diff = gather(pairs[probe, 0], np.float64) - gather(pairs[probe, 1], np.float64)
         scale = training._adam_lr_scale(lp_distance(diff, p), phi[probe])
     active = [level for level in range(len(levels)) if level_lrs[level] > 0]
     mse, rel = [], []
@@ -75,13 +92,16 @@ def _reference_train(levels, anc, p, pairs, phi, level_lrs, config, rng, states)
         sq_sum = rel_sum = 0.0
         for batch in training._epoch_batches(len(pairs), config.batch_size, config.shuffle, rng):
             s, t = pairs[batch, 0], pairs[batch, 1]
-            grad, resid, _ = training._pair_gradient(gather(s), gather(t), phi[batch], p)
+            grad, resid, _ = training._pair_gradient(
+                gather(s, dtype), gather(t, dtype), phi[batch].astype(dtype), p
+            )
+            resid = resid.astype(np.float64)
             sq_sum += float(np.square(resid).sum())
             rel_sum += float((np.abs(resid) / np.maximum(phi[batch], 1e-12)).sum())
             for level in active:
                 rows, full = _reference_scatter(anc[s, level], anc[t, level], grad)
                 full /= len(batch)
-                lr = config.lr * level_lrs[level] * scale
+                lr = dtype.type(config.lr * level_lrs[level] * scale)
                 if config.optimizer == "adam":
                     levels[level][rows] += states[level].step_rows(rows, full, lr)
                 else:
@@ -173,8 +193,9 @@ class TestStepKernel:
         ["random", "s_equals_t", "one_row", "batch_of_one", "d_one", "negative_zero"],
     )
     def test_scatter_matches_reference(self, case):
-        for levels in (1, 2, 5):
+        for levels, dtype in itertools.product((1, 2, 5), DTYPES):
             ls, lt, grad, offsets = _scatter_case(case, levels)
+            grad = grad.astype(dtype)
             rows, full = _scatter_levels(ls + offsets[:-1], lt + offsets[:-1], grad)
             bounds = np.searchsorted(rows, offsets)
             for l in range(levels):
@@ -185,47 +206,54 @@ class TestStepKernel:
 
     def test_adam_step_matches_reference(self):
         """Block Adam over three levels against one reference per level,
-        with a different active subset every step."""
-        rng = np.random.default_rng(5)
-        sizes = np.array([7, 40, 13])
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        block = AdamState((offsets[-1], 6), levels=3)
-        reference = [_ReferenceAdam((size, 6)) for size in sizes]
-        lrs = np.array([0.3, 0.1, 0.05])
-        for active in ([0, 1, 2], [1], [0, 2], [2], [0, 1, 2]):
-            per_level = [np.unique(rng.integers(0, sizes[l], 9)) for l in active]
-            rows = np.concatenate([r + offsets[l] for l, r in zip(active, per_level)])
-            grad_rows = rng.standard_normal((rows.size, 6))
-            grad_rows[0, 0] = -0.0
-            bounds = np.searchsorted(rows, offsets)
-            update = block.step_rows(rows, grad_rows, lrs, bounds)
-            for l, level_rows in zip(active, per_level):
-                mine = slice(bounds[l], bounds[l + 1])
-                _assert_identical(
-                    update[mine],
-                    reference[l].step_rows(level_rows, grad_rows[mine], lrs[l]),
-                )
-            _assert_same_block_adam(block, reference)
+        with a different active subset every step, in each dtype."""
+        for dtype in DTYPES:
+            rng = np.random.default_rng(5)
+            sizes = np.array([7, 40, 13])
+            offsets = np.concatenate([[0], np.cumsum(sizes)])
+            block = AdamState((offsets[-1], 6), levels=3, dtype=dtype)
+            reference = [_ReferenceAdam((size, 6), dtype=dtype) for size in sizes]
+            lrs = np.array([0.3, 0.1, 0.05], dtype=dtype)
+            for active in ([0, 1, 2], [1], [0, 2], [2], [0, 1, 2]):
+                per_level = [np.unique(rng.integers(0, sizes[l], 9)) for l in active]
+                rows = np.concatenate([r + offsets[l] for l, r in zip(active, per_level)])
+                grad_rows = rng.standard_normal((rows.size, 6)).astype(dtype)
+                grad_rows[0, 0] = -0.0
+                bounds = np.searchsorted(rows, offsets)
+                update = block.step_rows(rows, grad_rows, lrs, bounds)
+                for l, level_rows in zip(active, per_level):
+                    mine = slice(bounds[l], bounds[l + 1])
+                    _assert_identical(
+                        update[mine],
+                        reference[l].step_rows(level_rows, grad_rows[mine], lrs[l]),
+                    )
+                _assert_same_block_adam(block, reference)
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_train_flat_matches_reference(self, medium_grid, labelled, optimizer):
+    @KERNEL_CASES
+    def test_train_flat_matches_reference(self, medium_grid, labelled, optimizer, dtype):
+        """``train_flat`` (float64) and a float32 one-level block against
+        the reference trainer in the same dtype."""
         pairs, phi = labelled
         pairs, phi = pairs[:3000], phi[:3000]
         config = _kernel_config(optimizer)
         model = RNEModel.random(medium_grid.n, 8, seed=1)
-        expected = [model.matrix.copy()]
+        flat = HierarchicalRNE.flat(model.matrix.astype(dtype, copy=False), p=model.p)
+        expected = [flat.block.copy()]
         anc = np.arange(medium_grid.n)[:, None]
         history = _reference_train(
             expected, anc, model.p, pairs, phi, [1.0], config,
-            np.random.default_rng(7), [_ReferenceAdam(model.matrix.shape)],
+            np.random.default_rng(7), [_ReferenceAdam(flat.block.shape, dtype=dtype)],
         )
-        result = train_flat(model, pairs, phi, config, rng=7)
-        _assert_identical(model.matrix, expected[0])
+        if dtype == np.float64:
+            result = train_flat(model, pairs, phi, config, rng=7)
+        else:
+            result = train_hierarchical(flat, pairs, phi, [1.0], config, rng=7)
+        _assert_identical(flat.block, expected[0])
         assert (result.mse, result.mean_rel_error) == history
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @KERNEL_CASES
     def test_train_hierarchical_matches_reference(
-        self, medium_grid, labelled, optimizer
+        self, medium_grid, labelled, optimizer, dtype
     ):
         """Block training equals the per-level loop byte for byte — levels,
         Adam moments and per-level step counts — for single schedules and
@@ -252,10 +280,11 @@ class TestStepKernel:
         }
         for name, schedules in sequences.items():
             hmodel = HierarchicalRNE(hierarchy, d=8, init_scale=1.0, seed=0)
+            hmodel.block = hmodel.block.astype(dtype)
             initial = hmodel.block.copy()
             expected = [m.copy() for m in hmodel.locals]
             adam = AdamState.for_model(hmodel)
-            reference = [_ReferenceAdam(m.shape) for m in expected]
+            reference = [_ReferenceAdam(m.shape, dtype=dtype) for m in expected]
             rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
             for lrs in schedules:
                 result = train_hierarchical(
@@ -270,13 +299,53 @@ class TestStepKernel:
             if optimizer == "adam":
                 _assert_same_block_adam(adam, reference)
             else:
-                _assert_same_block_adam(adam, [_ReferenceAdam(m.shape) for m in expected])
+                _assert_same_block_adam(
+                    adam, [_ReferenceAdam(m.shape, dtype=dtype) for m in expected]
+                )
             if name == "all_zero":
                 _assert_identical(hmodel.block, initial)
                 assert not adam.t.any()
             if name == "freeze_then_unfreeze" and optimizer == "adam":
                 epochs = config.epochs * -(-len(pairs) // config.batch_size)
                 assert adam.t.tolist() == [2 * epochs] * (num_levels - 1) + [3 * epochs]
+
+    def test_float32_block_never_upcasts(self, medium_grid, labelled, monkeypatch):
+        """A float32 block keeps the kernel in float32: the labels the
+        gradient sees, the gradient, the scattered sums, the Adam step and
+        both moments."""
+        pairs, phi = labelled
+        hierarchy = PartitionHierarchy(medium_grid, fanout=4, leaf_size=16, seed=0)
+        hmodel = HierarchicalRNE(hierarchy, d=8, seed=0)
+        assert hmodel.block.dtype == np.float32
+        adam = AdamState.for_model(hmodel)
+        seen = {}
+
+        def spy(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapped(*args):
+                out = inner(*args)
+                seen.setdefault(name, []).append((args, out))
+                return out
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(training, "_pair_gradient")
+        spy(training, "_scatter_levels")
+        spy(adam, "step_rows")
+        train_hierarchical(
+            hmodel, pairs[:3000], phi[:3000], np.ones(hmodel.num_levels),
+            TrainConfig(epochs=1), rng=0, adam=adam,
+        )
+        assert [len(seen[name]) for name in sorted(seen)] == [3, 3, 3]  # batches
+        for args, (grad, resid, pred) in seen["_pair_gradient"]:
+            assert {a.dtype for a in args[:3]} == {np.dtype(np.float32)}
+            assert grad.dtype == resid.dtype == pred.dtype == np.float32
+        for (_, _, grad), (_, full) in seen["_scatter_levels"]:
+            assert grad.dtype == full.dtype == np.float32
+        for (_, grad_rows, lrs, _), step in seen["step_rows"]:
+            assert grad_rows.dtype == lrs.dtype == step.dtype == np.float32
+        assert adam.m.dtype == adam.v.dtype == hmodel.block.dtype == np.float32
 
     def test_mismatched_adam_state_rejected(self, medium_grid, labelled):
         pairs, phi = labelled
@@ -286,7 +355,8 @@ class TestStepKernel:
         foreign = [
             AdamState.for_model(HierarchicalRNE(hierarchy, d=4, seed=0)),
             AdamState.for_model(HierarchicalRNE.flat(np.zeros((medium_grid.n, 8)))),
-            AdamState(hmodel.block.shape, levels=hmodel.num_levels - 1),
+            AdamState(hmodel.block.shape, levels=hmodel.num_levels - 1, dtype=np.float32),
+            AdamState(hmodel.block.shape, levels=hmodel.num_levels, dtype=np.float64),
         ]
         before = hmodel.block.copy()
         for adam in foreign:

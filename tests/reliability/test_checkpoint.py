@@ -26,9 +26,9 @@ from repro.reliability.faults import corrupt_file
 class FakeAdam:
     """Duck-typed optimiser state (.m / .v / per-level .t), like AdamState."""
 
-    def __init__(self, shape, levels=2, t=0):
-        self.m = np.zeros(shape, dtype=np.float64)
-        self.v = np.zeros(shape, dtype=np.float64)
+    def __init__(self, shape, levels=2, t=0, dtype=np.float64):
+        self.m = np.zeros(shape, dtype=dtype)
+        self.v = np.zeros(shape, dtype=dtype)
         self.t = np.full(levels, t, dtype=np.int64)
 
 
@@ -70,6 +70,33 @@ class TestStatePacking:
             unpack_state(arrays, meta, live, FakeAdam((4, 2)))
         np.testing.assert_array_equal(live, np.zeros((4, 2)))
 
+    def test_dtype_mismatch_rejected_before_any_write(self, rng):
+        """A float64 checkpoint never resumes onto a float32 state by
+        silent casting, nor a float32 one onto float64; the matrix and
+        each moment are checked."""
+        matrix = rng.normal(size=(4, 2))
+        cases = [
+            (matrix, FakeAdam((4, 2)), np.float32, np.float32, "'matrix'"),
+            (matrix.astype(np.float32), FakeAdam((4, 2)), np.float32, np.float32, "'adam_m'"),
+            (
+                matrix.astype(np.float32), FakeAdam((4, 2), dtype=np.float32),
+                np.float64, np.float64, "'matrix'",
+            ),
+        ]
+        for saved, saved_adam, live_dtype, adam_dtype, key in cases:
+            arrays, meta = pack_state(saved, saved_adam)
+            live = np.zeros((4, 2), dtype=live_dtype)
+            live_adam = FakeAdam((4, 2), t=5, dtype=adam_dtype)
+            with pytest.raises(ArtifactError, match=key):
+                unpack_state(arrays, meta, live, live_adam)
+            assert not live.any() and not live_adam.m.any()
+            assert live_adam.t.tolist() == [5, 5]
+        float32 = matrix.astype(np.float32)
+        arrays, meta = pack_state(float32, FakeAdam((4, 2), dtype=np.float32))
+        live = np.zeros((4, 2), dtype=np.float32)
+        unpack_state(arrays, meta, live, FakeAdam((4, 2), dtype=np.float32))
+        assert live.tobytes() == float32.tobytes()
+
     def test_per_level_layout_rejected(self, rng):
         """Checkpoints from the per-level layout carry ``local_{l}`` arrays
         and no ``matrix``; they are rejected before anything is written."""
@@ -96,6 +123,20 @@ class TestStatePacking:
         assert adam.m is moments
         np.testing.assert_array_equal(adam.m, np.zeros((7, 2)))
         assert adam.t.tolist() == [3, 3]
+        np.testing.assert_array_equal(gen.normal(size=3), expected_draw)
+
+    def test_rollback_pair_without_adam(self, rng):
+        """SGD training has no optimiser state: the pair rolls back the
+        matrix and the RNG only."""
+        matrix = rng.normal(size=(7, 2))
+        gen = np.random.default_rng(5)
+        snapshot, restore = rollback_pair(matrix, None, gen)
+        snap = snapshot()
+        before = matrix.copy()
+        expected_draw = gen.normal(size=3)
+        matrix += 1.0
+        restore(snap)
+        np.testing.assert_array_equal(matrix, before)
         np.testing.assert_array_equal(gen.normal(size=3), expected_draw)
 
     def test_rng_state_roundtrip_is_json_safe(self):

@@ -194,6 +194,36 @@ class TestLegacyCheckpoint:
         assert resumed.history.phase_errors == rel_rne.history.phase_errors
 
 
+    def test_float64_checkpoint_starts_fresh(
+        self, rel_graph, rel_config, rel_rne, tmp_path
+    ):
+        """A checkpoint whose block and Adam moments are float64 (written
+        before training ran in float32) is rejected as unusable rather than
+        cast onto the float32 state, and the build equals a fresh one."""
+        manager = CheckpointManager(tmp_path, graph=rel_graph)
+        build_rne(rel_graph, rel_config, checkpoint_dir=str(tmp_path))
+        arrays, meta = manager.load("vertex")
+        manager.clear()
+        assert sorted(arrays) == ["adam_m", "adam_v", "matrix"]
+        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+        legacy = {key: value.astype(np.float64) for key, value in arrays.items()}
+        step = meta["step"]
+        meta = {k: v for k, v in meta.items() if k not in ("stage", "step")}
+        manager.save("vertex", legacy, meta, step=step)
+
+        resumed = build_rne(
+            rel_graph, rel_config, checkpoint_dir=str(tmp_path), resume=True
+        )
+        assert any(
+            "checkpoint 'vertex' unusable" in n and "float64" in n
+            and "starting fresh" in n
+            for n in resumed.history.notes
+        )
+        assert not any("resumed from" in n for n in resumed.history.notes)
+        np.testing.assert_array_equal(resumed.model.matrix, rel_rne.model.matrix)
+        assert resumed.history.phase_errors == rel_rne.history.phase_errors
+
+
 class TestNoJointResume:
     def test_crash_and_resume_without_joint_stage(
         self, rel_graph, rel_config, tmp_path
