@@ -717,12 +717,6 @@ def fig17_error_vs_distance(
     return {"bounds": bounds, "rel": rel, "abs": abs_, "report": "\n\n".join(lines)}
 
 
-def _labeling_runner(**kw) -> str:
-    from .labeling import labeling_benchmark
-
-    return labeling_benchmark(**kw)["report"]
-
-
 def _ablation_runner(name: str):
     def run(**kw):
         from . import ablations
@@ -746,7 +740,6 @@ EXPERIMENTS = {
     "fig15": lambda **kw: fig15_error_cdf(**kw)["report"],
     "fig16": lambda **kw: fig16_range_knn(**kw)["report"],
     "fig17": lambda **kw: fig17_error_vs_distance(**kw)["report"],
-    "labeling": lambda **kw: _labeling_runner(**kw),
     "ablate-joint": _ablation_runner("ablate_joint_pass"),
     "ablate-optimizer": _ablation_runner("ablate_optimizer"),
     "ablate-landmarks": _ablation_runner("ablate_landmark_strategy"),

@@ -17,7 +17,8 @@ in-place update per batch cover the whole model.  The flat table itself is
 the one-level case (``hierarchy=None``): every vertex is its own only
 ancestor, so one training loop serves both.  A model this class draws
 holds its block in :attr:`HierarchicalRNE.PARAM_DTYPE` (float32, the
-paper's TensorFlow default); assembled global vectors are float64.
+paper's TensorFlow default); assembled global vectors are float64, and
+:meth:`HierarchicalRNE.to_model` rounds them back to that dtype to serve.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class HierarchicalRNE:
         larger norms, matching the model's intended norm hierarchy.
     """
 
-    #: dtype of every block this constructor draws.  Training follows the
-    #: block's dtype, so this is the one place that fixes it.
+    #: dtype of every block this constructor draws and of the matrix
+    #: :meth:`to_model` publishes.  Training and serving follow the array's
+    #: dtype, so this is the one place that fixes it.
     PARAM_DTYPE = np.dtype(np.float32)
 
     hierarchy: PartitionHierarchy | None
@@ -201,9 +203,11 @@ class HierarchicalRNE:
 
         This is line 12-13 of Algorithm 1: after training, the hierarchy is
         collapsed to one global matrix, so query cost is identical to the
-        flat model's.
+        flat model's.  The float64 ancestor sums are rounded once to
+        :attr:`PARAM_DTYPE`, which is therefore also the served dtype:
+        every serving kernel runs in the published matrix's dtype.
         """
-        return RNEModel(self.global_matrix(), p=self.p)
+        return RNEModel(self.global_matrix().astype(self.PARAM_DTYPE), p=self.p)
 
     def clone(self) -> "HierarchicalRNE":
         """Copy with an independent block but a shared hierarchy.

@@ -14,6 +14,12 @@ bound can still beat the k-th distance (see ``docs/SERVING.md``).
 Results are exact with respect to *embedding* distances; their accuracy
 against true network distances (F1 in Fig. 16) is the model's accuracy.
 
+**One dtype.**  A snapshot's centres and radii share its matrix's dtype
+(float32 for a built model, float64 when given float64), and every kernel
+computes distances in it.  Pruning grants a rounding margin derived from
+that dtype (:func:`prune_slack`), and radii are rounded up, so the tree
+only ever adds candidates; answers are decided on member distances alone.
+
 **One snapshot.**  The embedding rows and the node geometry derived from
 them are published together as one immutable :class:`ServingSnapshot`.
 :meth:`EmbeddingTreeIndex.refresh_rows` builds the next snapshot off to
@@ -44,6 +50,7 @@ Repeated queries against the same target set should build a
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
@@ -51,7 +58,7 @@ import numpy as np
 
 from ..devtools.contracts import shapes
 from ..graph import PartitionHierarchy
-from .model import _topk_rows, lp_distance
+from .model import _topk_rows, as_served, lp_distance
 
 #: Monotonic token source for cache-keying PreparedTargets instances.
 _PREPARED_TOKENS = itertools.count()
@@ -60,12 +67,32 @@ _PREPARED_TOKENS = itertools.count()
 #: source axis so batched frontiers never materialise huge intermediates.
 _CHUNK_ELEMS = 4_000_000
 
-#: Float-safety margin on kNN pruning radii: inflating the cut-off only
-#: *adds* candidates (final selection is by actual member distances), so a
-#: tiny slack absorbs Lp rounding without ever changing results.
-_UB_SLACK = 1e-9
-
 _NO_NODES = np.empty(0, dtype=np.float64)
+
+
+def prune_slack(dtype: np.dtype, d: int) -> float:
+    """Relative rounding margin ``s`` of the pruning tests for ``d``-wide rows.
+
+    A node survives when ``cd - r - s·cd <= x + s·(1 + |x|)``: ``cd`` is
+    the computed centre distance, ``r`` the radius and ``x`` the threshold
+    (``tau``, or kNN's bound on the k-th distance).  A computed distance is
+    within about ``d·eps`` of the exact one, relatively, so
+    ``s = 4·(d + 2)·eps`` covers the rounding of both sides (derivation in
+    ``docs/SERVING.md``).  The margin only adds candidates: final selection
+    is by actual member distances.  It is never below ``1e-9``, the margin
+    float64 snapshots have always had.
+    """
+    return max(1e-9, 4.0 * (d + 2) * float(np.finfo(dtype).eps))
+
+
+def served_tau(tau: float, dtype: np.dtype) -> float:
+    """``tau`` for comparing with ``dtype`` distances: ``+inf`` above its range.
+
+    NEP 50 casts a Python-float ``tau`` to a float32 row's dtype, and one
+    beyond float32's finite range becomes ``inf`` with an overflow warning.
+    Every finite distance is within either value, so answers are unchanged.
+    """
+    return math.inf if tau > float(np.finfo(dtype).max) else tau
 
 
 @dataclass(frozen=True)
@@ -168,7 +195,7 @@ class EmbeddingTreeIndex:
         *,
         version: int = 0,
     ) -> None:
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = as_served(matrix)
         if matrix.shape[0] != hierarchy.graph.n:
             raise ValueError(
                 f"matrix has {matrix.shape[0]} rows for a graph of "
@@ -180,10 +207,10 @@ class EmbeddingTreeIndex:
         # are skipped in traversal (vertices are enumerated from leaf cells).
         self._leaf_level = hierarchy.num_subgraph_levels - 1
         num_nodes = len(hierarchy.nodes)
-        # Dense per-node-id arrays so bounds for whole (source, node)
-        # frontiers are single numpy passes.
-        centres = np.zeros((num_nodes, matrix.shape[1]), dtype=np.float64)
-        radii = np.zeros(num_nodes, dtype=np.float64)
+        # Dense per-node-id arrays, in the matrix's dtype, so bounds for
+        # whole (source, node) frontiers are single numpy passes.
+        centres = np.zeros((num_nodes, matrix.shape[1]), dtype=matrix.dtype)
+        radii = np.zeros(num_nodes, dtype=matrix.dtype)
         self._num_indexed = 0
         child_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         child_chunks: List[np.ndarray] = []
@@ -220,11 +247,22 @@ class EmbeddingTreeIndex:
         Shared by the constructor and :meth:`refresh_rows` so an
         incremental refresh is bit-identical to a full rebuild by
         construction — both run exactly this code on the same inputs.
+
+        The radius is measured in float64 against the centre as stored and
+        rounded *up* to the snapshot's dtype, so it covers every member
+        exactly; for a float64 snapshot that is the plain float64 radius.
         """
         members = matrix[self.hierarchy.nodes[node_id].vertices]
-        centre = members.mean(axis=0)
-        centres[node_id] = centre
-        radii[node_id] = float(lp_distance(members - centre, self.p).max())
+        centres[node_id] = members.mean(axis=0)
+        exact = lp_distance(
+            members.astype(np.float64, copy=False)
+            - centres[node_id].astype(np.float64, copy=False),
+            self.p,
+        ).max()
+        radius = radii.dtype.type(exact)
+        if radius < exact:
+            radius = np.nextafter(radius, radii.dtype.type(np.inf))
+        radii[node_id] = radius
 
     @shapes(changed_vertices="(k,):int")
     def refresh_rows(self, matrix: np.ndarray, changed_vertices: np.ndarray) -> int:
@@ -242,14 +280,17 @@ class EmbeddingTreeIndex:
         Returns the number of nodes recomputed.  The caller promises the
         unchanged rows really are bit-equal between old and new matrix;
         under that contract the result is bit-identical to building a fresh
-        index from ``matrix`` (tested in ``tests/live``).
+        index from ``matrix`` (tested in ``tests/live``).  The replacement
+        must have the snapshot's shape and dtype: a refresh never changes
+        the served dtype.
         """
         current = self.snapshot
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != current.matrix.shape:
+        matrix = as_served(matrix)
+        if matrix.shape != current.matrix.shape or matrix.dtype != current.matrix.dtype:
             raise ValueError(
-                f"replacement matrix has shape {matrix.shape}, "
-                f"index was built for {current.matrix.shape}"
+                f"replacement matrix is {matrix.dtype} {matrix.shape}, "
+                f"index was built for {current.matrix.dtype} "
+                f"{current.matrix.shape}"
             )
         changed = np.unique(np.asarray(changed_vertices, dtype=np.int64))
         if changed.size and (changed[0] < 0 or changed[-1] >= matrix.shape[0]):
@@ -323,10 +364,11 @@ class EmbeddingTreeIndex:
     def index_bytes(self) -> int:
         """Extra memory on top of the embedding matrix.
 
-        One centre and one radius per node at levels up to the leaf cells.
+        One centre and one radius per node at levels up to the leaf cells,
+        in the snapshot's dtype.
         """
         d = self.snapshot.matrix.shape[1]
-        return self._num_indexed * (d * 8 + 8)
+        return self._num_indexed * (d + 1) * self.snapshot.radii.itemsize
 
 
 # ----------------------------------------------------------------------
@@ -356,10 +398,11 @@ def full_rows(
     sources: np.ndarray,
     p: float,
 ) -> np.ndarray:
-    """(S, m) embedding distances from each source to every target id."""
+    """(S, m) embedding distances from each source to every target id,
+    in the snapshot's dtype."""
     matrix = snap.matrix
     t_vecs = matrix[prepared.ids]
-    out = np.empty((sources.size, prepared.m), dtype=np.float64)
+    out = np.empty((sources.size, prepared.m), dtype=matrix.dtype)
     step = _rows_step(snap, prepared)
     # perf: loop-ok (memory chunking; each chunk is one vector pass)
     for start in range(0, sources.size, step):
@@ -398,10 +441,10 @@ def knn_frontier(
     each source the leaves are ranked by lower bound; walking that
     ranking until ``k_eff`` members are covered yields an upper bound
     ``ub`` on the k-th distance (the running max of centre-distance +
-    radius), so every answer lies in a leaf with bound <= ``ub`` — the
-    candidate set is a provable superset and the final ``(distance, id)``
-    lexsort over actual member distances is exact.  Otherwise every
-    target is scored and ranked by the shared top-k.
+    radius), so every answer lies in a leaf with bound <= ``ub`` up to
+    :func:`prune_slack` — the candidate set is a provable superset and the
+    final ``(distance, id)`` lexsort over actual member distances is exact.
+    Otherwise every target is scored and ranked by the shared top-k.
     """
     if tree is None or not prepared.has_tree:
         return [
@@ -417,6 +460,7 @@ def knn_frontier(
     matrix = snap.matrix
     centres = snap.centres[leaf_ids]
     radii = snap.radii[leaf_ids]
+    slack = prune_slack(matrix.dtype, matrix.shape[1])
     counts = np.diff(member_offsets)
     results: List[np.ndarray] = []
     step = max(1, _CHUNK_ELEMS // max(1, leaf_ids.size * matrix.shape[1]))
@@ -433,8 +477,8 @@ def knn_frontier(
             np.take_along_axis(cd + radii[None, :], order, axis=1), axis=1
         )
         ub = running_ub[np.arange(chunk.size), cut]
-        ub = ub + _UB_SLACK * (1.0 + np.abs(ub))
-        active = lb <= ub[:, None]
+        ub = ub + slack * (1.0 + np.abs(ub))
+        active = lb - slack * cd <= ub[:, None]
         src_idx, leaf_idx = np.nonzero(active)
         gather = _flat_gather(member_offsets[leaf_idx], counts[leaf_idx])
         cand_ids = member_flat[gather]
@@ -466,7 +510,13 @@ def range_frontier(
     pairs is pruned by one vectorised bound pass per tree level and
     expanded through the CSR child arrays; only target-holding leaves
     that survive are scored.  Otherwise every target is scored.
+
+    Members are kept on ``d <= tau`` in the snapshot's dtype with the
+    caller's ``tau`` as given (:func:`served_tau`), exactly as a brute
+    filter over :func:`full_rows` would; the node test grants
+    :func:`prune_slack`.
     """
+    tau = served_tau(tau, snap.matrix.dtype)
     if tree is None or not prepared.has_tree:
         return [
             prepared.ids[row <= tau]
@@ -485,6 +535,8 @@ def range_frontier(
     ):
         raise ValueError("prepared targets lack tree structure")
     matrix = snap.matrix
+    slack = prune_slack(matrix.dtype, matrix.shape[1])
+    limit = served_tau(tau + slack * (1.0 + abs(tau)), matrix.dtype)
     results: List[np.ndarray] = []
     roots = tree.roots
     counts = np.diff(member_offsets)
@@ -501,12 +553,10 @@ def range_frontier(
                 break
             alive = node_active[f_node]
             f_src, f_node = f_src[alive], f_node[alive]
-            bound = np.maximum(
-                lp_distance(q[f_src] - snap.centres[f_node], p)
-                - snap.radii[f_node],
-                0.0,
-            )
-            keep = bound <= tau
+            cd = lp_distance(q[f_src] - snap.centres[f_node], p)
+            # The lower bound max(cd - r, 0) against tau: limit >= 0, so
+            # the clamp at 0 cannot change the test.
+            keep = cd - snap.radii[f_node] - slack * cd <= limit
             f_src, f_node = f_src[keep], f_node[keep]
             if level == tree.leaf_level:
                 break

@@ -80,19 +80,34 @@ def _topk_rows(rows: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return ordered[starts[:, None] + np.arange(k_eff)]
 
 
+def as_served(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as is when float32, else as float64.
+
+    Every query kernel computes in the matrix's own dtype.  In memory any
+    array-like is accepted and widened to float64 unless it is float32; a
+    persisted embedding is stricter, and its loader
+    (``reliability.artifacts.validate_embedding_payload``) rejects every
+    dtype but float32 and float64.
+    """
+    matrix = np.asarray(matrix)
+    return matrix if matrix.dtype == np.float32 else matrix.astype(np.float64, copy=False)
+
+
 class RNEModel:
     """Embedding matrix + metric: the queryable artefact of training.
 
     Parameters
     ----------
     matrix:
-        ``(n, d)`` float array of vertex embeddings.
+        ``(n, d)`` array of vertex embeddings, kept in float32 (what a
+        built model serves) or else taken as float64 (:func:`as_served`).
+        Queries compute in that dtype.
     p:
         Metric order for queries (paper default: 1).
     """
 
     def __init__(self, matrix: np.ndarray, p: float = 1.0) -> None:
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = as_served(matrix)
         if matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-d, got shape {matrix.shape}")
         if p <= 0:

@@ -223,7 +223,7 @@ def train_flat(
 
     The flat table is a one-level hierarchy, so this is
     :func:`train_hierarchical` on :meth:`HierarchicalRNE.flat` at rate 1
-    with a fresh optimiser; it trains in the model's float64.
+    with a fresh optimiser; it trains in the model's dtype.
     """
     return train_hierarchical(
         HierarchicalRNE.flat(model.matrix, p=model.p),

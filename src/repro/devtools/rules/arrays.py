@@ -1,11 +1,12 @@
 """RNE002 / RNE003: array-discipline rules.
 
 The L1 SGD math in ``core/`` runs in the dtype of the parameter block it
-trains (float32 for built models, float64 for ``RNEModel`` tables) and
-assumes callers' arrays are not mutated behind their back.  A constructor
-whose dtype defaults to float64 silently promotes a float32 kernel, and a
-mutated caller array silently corrupts training, so both are enforced
-statically.
+trains (float32 for built models), and serving runs in the dtype of the
+published matrix (float32 for built models, float64 only when handed a
+float64 matrix); both assume callers' arrays are not mutated behind their
+back.  A constructor whose dtype defaults to float64 silently promotes a
+float32 kernel, and a mutated caller array silently corrupts training, so
+both are enforced statically.
 """
 
 from __future__ import annotations

@@ -173,6 +173,8 @@ def _vertex_view(rne: RNE) -> HierarchicalRNE:
     global matrix at the vertex level reproduces the model's distances
     exactly — and lets ``update_rne`` run its coarse-frozen schedule
     against a loaded artifact that no longer carries per-level locals.
+    The block has the served matrix's dtype, so the retrain runs that
+    dtype's kernel and publishes rows the snapshot can take as they are.
     """
     hierarchy = rne.hierarchy
     if hierarchy is None:
@@ -184,7 +186,7 @@ def _vertex_view(rne: RNE) -> HierarchicalRNE:
     if not np.array_equal(anc[:, -1], np.arange(rne.graph.n)):
         raise ValueError("hierarchy vertex level is not the identity mapping")
     coarse = sum(hierarchy.level_size(level) for level in range(hierarchy.num_levels - 1))
-    block = np.zeros((coarse + rne.graph.n, rne.model.d), dtype=np.float64)
+    block = np.zeros((coarse + rne.graph.n, rne.model.d), dtype=rne.model.matrix.dtype)
     block[coarse:] = rne.model.matrix
     return HierarchicalRNE._from_block(hierarchy, block, rne.model.p)
 

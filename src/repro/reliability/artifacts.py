@@ -49,6 +49,9 @@ __all__ = [
 #: Bump when the manifest layout changes incompatibly.
 SCHEMA_VERSION = 1
 
+#: dtypes a persisted embedding matrix may have; it is served in the same.
+_EMBEDDING_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
 #: Archive member holding the JSON manifest (uint8 bytes).
 _MANIFEST_KEY = "__manifest__"
 
@@ -261,14 +264,21 @@ def validate_embedding_payload(
     """Validate a loaded ``(matrix, p)`` embedding payload.
 
     Shared by every loader that revives a queryable model: the matrix must
-    be 2-d and fully finite, ``p`` a finite scalar ``>= 1`` (the serving
-    metrics; fractional-``p`` ablations are an in-memory experiment, not a
-    persisted artefact), and with ``expect_n`` the row count must match the
-    live graph.  Violations raise :class:`ArtifactError` so callers never
-    serve distances from a half-trusted payload.
+    be a 2-d, fully finite float32 or float64 array, kept in its dtype so a
+    loaded model serves what was saved; ``p`` a finite scalar ``>= 1`` (the
+    serving metrics; fractional-``p`` ablations are an in-memory
+    experiment, not a persisted artefact); and with ``expect_n`` the row
+    count must match the live graph.  Violations raise
+    :class:`ArtifactError` so callers never serve distances from a
+    half-trusted payload.
     """
     path = os.fspath(path)
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.asarray(matrix)
+    if matrix.dtype not in _EMBEDDING_DTYPES:
+        raise ArtifactError(
+            f"{path}: embedding matrix must be float32 or float64, "
+            f"got {matrix.dtype}"
+        )
     if matrix.ndim != 2:
         raise ArtifactError(
             f"{path}: embedding matrix must be 2-d, got shape {matrix.shape}"

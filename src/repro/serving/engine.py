@@ -17,7 +17,9 @@ single numpy passes instead of per-query Python loops:
 Every learned batch loads the index's published
 :class:`~repro.core.index.ServingSnapshot` once and takes rows, centres
 and radii from it, so a live update that publishes mid-batch cannot mix
-two versions into one answer.
+two versions into one answer.  Distances are computed, cached and
+compared with ``tau`` in the snapshot's dtype (float32 for a built
+model).
 
 Caching: an LRU of *hot rows* — full embedding-distance rows from a source
 to a prepared target set, keyed by the snapshot's version and promoted
@@ -42,6 +44,7 @@ from ..core.index import (
     full_rows,
     knn_frontier,
     range_frontier,
+    served_tau,
 )
 from ..core.model import RNEModel, _topk_rows, lp_distance
 from ..devtools.contracts import shapes
@@ -198,7 +201,11 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------
     @shapes(pairs="(b,2):int", ret="(b,):float")
     def distances(self, pairs: np.ndarray) -> np.ndarray:
-        """Approximate distances for a ``(B, 2)`` pair batch — one numpy pass."""
+        """Approximate distances for a ``(B, 2)`` pair batch — one numpy pass.
+
+        Returned in the snapshot's dtype, exactly ``|a - b|`` summed over
+        the last axis for ``p = 1``.
+        """
         model = self._model_or_raise()
         pairs = np.asarray(pairs, dtype=np.int64)
         with self.stats.timed("distances", pairs.shape[0]):
@@ -250,7 +257,8 @@ class BatchQueryEngine:
         """Batched range query (embedding metric, sorted-ids contract).
 
         Returns, per source, the ascending sorted ids of targets within
-        embedding distance ``tau`` of the snapshot's rows.
+        embedding distance ``tau`` of the snapshot's rows: ``d <= tau`` on
+        snapshot-dtype distances, with ``tau`` as given.
         """
         if not tau >= 0:  # also rejects NaN
             raise ValueError(f"tau must be >= 0, got {tau}")
@@ -261,6 +269,7 @@ class BatchQueryEngine:
             if sources.size == 0 or prepared.m == 0:
                 return [np.empty(0, dtype=np.int64) for _ in range(sources.size)]
             snap = self._snapshot(model)
+            tau = served_tau(tau, snap.matrix.dtype)
             rows, miss_idx = self._cached_rows(snap, model.p, prepared, sources)
             out: List[Optional[np.ndarray]] = [None] * sources.size
             for i, row in rows.items():  # perf: loop-ok (cache hits only)

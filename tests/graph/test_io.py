@@ -134,6 +134,20 @@ class TestEmbeddingIO:
         np.testing.assert_allclose(back, matrix)
         assert p == 1.0
 
+    def test_float32_roundtrip_keeps_dtype(self, tmp_path):
+        matrix = np.random.default_rng(0).normal(size=(10, 4)).astype(np.float32)
+        path = tmp_path / "emb.npz"
+        save_embedding(path, matrix)
+        back, _ = load_embedding(path)
+        assert back.dtype == np.float32
+        assert back.tobytes() == matrix.tobytes()
+
+    def test_non_float_matrix_rejected(self, tmp_path):
+        path = tmp_path / "emb.npz"
+        save_embedding(path, np.ones((3, 2), dtype=np.float16))
+        with pytest.raises(ArtifactError, match="float32 or float64"):
+            load_embedding(path)
+
     def test_p_persisted(self, tmp_path):
         path = tmp_path / "emb.npz"
         save_embedding(path, np.ones((2, 2)), p=2.0)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import RNE
 from repro.graph import Graph
 from repro.reliability import (
     ArtifactError,
@@ -161,6 +162,17 @@ class TestEmbeddingPayload:
         assert matrix.dtype == np.float64
         assert p == 2.0
 
+    def test_float32_payload_keeps_its_dtype(self):
+        stored = np.arange(8, dtype=np.float32).reshape(4, 2) / 3
+        matrix, _ = validate_embedding_payload("x.npz", stored, 1.0)
+        assert matrix.dtype == np.float32
+        assert matrix.tobytes() == stored.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128, object])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(ArtifactError, match="float32 or float64"):
+            validate_embedding_payload("x.npz", np.ones((4, 2), dtype=dtype), 1.0)
+
     @pytest.mark.parametrize(
         "matrix, p",
         [
@@ -178,3 +190,30 @@ class TestEmbeddingPayload:
     def test_row_count_mismatch(self):
         with pytest.raises(ArtifactError, match="rows"):
             validate_embedding_payload("x.npz", np.ones((4, 2)), 1.0, expect_n=5)
+
+
+class TestServedDtypeRoundTrip:
+    def test_save_load_serves_bit_identical_answers(self, rel_graph, rel_rne, tmp_path):
+        """A saved-then-loaded RNE serves the dtype it was built with, so
+        distances, kNN and range answers match the in-memory RNE bit for bit."""
+        path = tmp_path / "rne.npz"
+        rel_rne.save(str(path))
+        loaded = RNE.load(str(path), rel_graph)
+        built, back = rel_rne.index.snapshot, loaded.index.snapshot
+        assert back.matrix.dtype == built.matrix.dtype == np.float32
+        for name in ("matrix", "centres", "radii"):
+            assert getattr(back, name).tobytes() == getattr(built, name).tobytes()
+        rng = np.random.default_rng(4)
+        pairs = rng.integers(rel_graph.n, size=(200, 2))
+        assert loaded.query_pairs(pairs).tobytes() == rel_rne.query_pairs(pairs).tobytes()
+        targets = rng.choice(rel_graph.n, size=20, replace=False)
+        sources = np.arange(0, rel_graph.n, 3)
+        np.testing.assert_array_equal(
+            loaded.knn_join(sources, targets, 5), rel_rne.knn_join(sources, targets, 5)
+        )
+        tau = float(np.median(rel_rne.model.distances_from(0, targets)))
+        for s in sources:
+            np.testing.assert_array_equal(
+                loaded.range_query(int(s), targets, tau),
+                rel_rne.range_query(int(s), targets, tau),
+            )

@@ -10,12 +10,17 @@ from repro.graph import PartitionHierarchy
 from repro.serving import BatchQueryEngine
 
 
-@pytest.fixture(scope="module")
-def stack(small_grid):
-    """(model, index) over the 8x8 grid — session graph, module embedding."""
+@pytest.fixture(scope="class")
+def stack(small_grid, request):
+    """(model, index) over the 8x8 grid — session graph, class embedding.
+
+    In the test class's ``dtype``, float64 by default; a class that sets
+    ``dtype = np.float32`` serves what a built model serves.
+    """
     hierarchy = PartitionHierarchy(small_grid, fanout=4, leaf_size=8, seed=0)
     rng = np.random.default_rng(1)
     matrix = rng.normal(size=(small_grid.n, 6))
+    matrix = matrix.astype(getattr(request.cls, "dtype", np.float64))
     model = RNEModel(matrix, p=1.0)
     index = EmbeddingTreeIndex(hierarchy, matrix, p=1.0)
     return model, index

@@ -26,18 +26,18 @@ from repro.serving import BatchQueryEngine
 EMPTY = np.array([], dtype=np.int64)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="class")
 def rne(stack, small_grid):
     model, index = stack
     return RNE(small_grid, model, index.hierarchy, BuildHistory())
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="class")
 def healthy_oracle(small_grid, rne):
     return ResilientOracle(small_grid, rne=rne)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="class")
 def degraded_oracle(small_grid, rne, tmp_path_factory):
     path = tmp_path_factory.mktemp("serving") / "rne.npz"
     rne.save(str(path))

@@ -24,6 +24,7 @@ def _random_targets(rng, n, size, with_duplicates=True):
 
 
 def _brute_range(model, source, targets, tau):
+    """Brute range filter in the model's dtype, ``tau`` as given."""
     ids = np.unique(np.asarray(targets, dtype=np.int64))
     return ids[model.distances_from(int(source), ids) <= tau]
 
@@ -96,6 +97,16 @@ class TestDistances:
         # perf: loop-ok (the per-pair baseline the batch path must match)
         loop = np.array([model.query(int(s), int(t)) for s, t in pairs])
         np.testing.assert_array_equal(batch, loop)
+
+    def test_served_in_snapshot_dtype(self, engine, stack, rng, small_grid):
+        """Served distances are exactly ``|a - b|.sum(-1)`` in the dtype."""
+        model, _ = stack
+        pairs = rng.integers(0, small_grid.n, size=(64, 2)).astype(np.int64)
+        got = engine.distances(pairs)
+        m = model.matrix
+        want = np.abs(m[pairs[:, 0]] - m[pairs[:, 1]]).sum(axis=-1)
+        assert got.dtype == want.dtype == m.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_exact_matches_dijkstra(self, engine, rng, small_grid):
         pairs = rng.integers(0, small_grid.n, size=(30, 2)).astype(np.int64)
@@ -194,20 +205,32 @@ class TestBatchedBitIdentity:
             np.testing.assert_array_equal(ids, unique[d <= 3.0])
 
 
+# The same comparisons on a float32 snapshot: brute force (``knn_brute``,
+# :func:`_brute_range`) follows the model's dtype, so both sides run in it.
+class TestDistancesFloat32(TestDistances):
+    dtype = np.float32
+
+
+class TestBatchedBitIdentityFloat32(TestBatchedBitIdentity):
+    dtype = np.float32
+
+
 def _assert_same_bytes(got, want):
     assert got.dtype == want.dtype == np.int64
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.fixture(scope="module")
-def tied_stack(small_grid):
+@pytest.fixture(scope="class")
+def tied_stack(small_grid, request):
     """(model, index) whose rows repeat in fours: distances tie everywhere.
 
     Duplicated rows give bit-equal distances, so most k-th places are ties
-    that only the id tie-break can resolve.
+    that only the id tie-break can resolve.  In the test class's ``dtype``,
+    float64 by default.
     """
+    dtype = getattr(request.cls, "dtype", np.float64)
     hierarchy = PartitionHierarchy(small_grid, fanout=4, leaf_size=8, seed=0)
-    base = np.random.default_rng(3).normal(size=(small_grid.n // 4, 6))
+    base = np.random.default_rng(3).normal(size=(small_grid.n // 4, 6)).astype(dtype)
     matrix = base[np.arange(small_grid.n) % base.shape[0]]
     return RNEModel(matrix, p=1.0), EmbeddingTreeIndex(hierarchy, matrix, p=1.0)
 
@@ -304,6 +327,109 @@ class TestTiedAnswers:
             assert joined.shape == (sources.size, min(k, targets.size))
             for s, ids in zip(sources, joined):
                 _assert_same_bytes(ids, model.knn_brute(int(s), targets, k))
+
+
+class TestTiedAnswersFloat32(TestTiedAnswers):
+    dtype = np.float32
+
+
+def _served(graph, matrix):
+    """(model, index, rne) serving ``matrix`` over ``graph``'s 4-way tree."""
+    hierarchy = PartitionHierarchy(graph, fanout=4, leaf_size=8, seed=0)
+    model = RNEModel(matrix, p=1.0)
+    index = EmbeddingTreeIndex(hierarchy, matrix, p=1.0)
+    return model, index, RNE(graph, model, hierarchy, BuildHistory())
+
+
+def _three_passes(engine, op, sources, prepared, arg):
+    """Frontier (first touch), promotion (full rows) and hot-row answers."""
+    fn = engine.knn if op == "knn" else engine.range_query
+    return [fn(sources, prepared, arg) for _ in range(3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+class TestExactBoundaries:
+    """Exact ties and range boundaries, answered alike by every path.
+
+    The frontier, the hot-row path and ``RNE``'s one-shot calls must all
+    equal brute force in the snapshot's dtype, with ``tau`` compared as
+    given (a Python float meets a float32 row as a float32, NEP 50).
+    """
+
+    def test_integer_embeddings_tie_exactly(self, small_grid, dtype):
+        matrix = (
+            np.random.default_rng(5).integers(-3, 4, size=(small_grid.n, 4)).astype(dtype)
+        )
+        model, index, rne = _served(small_grid, matrix)
+        targets = np.arange(0, small_grid.n, 2, dtype=np.int64)
+        sources = np.arange(0, small_grid.n, 3, dtype=np.int64)
+        for k in (1, 3, 8):
+            engine = BatchQueryEngine(model=model, index=index)
+            prepared = engine.prepare(targets)
+            want = [model.knn_brute(int(s), targets, k) for s in sources]
+            for out in _three_passes(engine, "knn", sources, prepared, k):
+                for got, ids in zip(out, want):
+                    _assert_same_bytes(got, ids)
+            for got, ids in zip(rne.knn_join(sources, targets, k), want):
+                np.testing.assert_array_equal(got, ids)
+        for tau in (0.0, 1.0, 2.0, 5.0, 9.0):
+            engine = BatchQueryEngine(model=model, index=index)
+            prepared = engine.prepare(targets)
+            want = [_brute_range(model, s, targets, tau) for s in sources]
+            # Integer distances: every tau above is met exactly by some pair.
+            assert any(np.any(model.distances_from(int(s), targets) == tau) for s in sources)
+            for out in _three_passes(engine, "range", sources, prepared, tau):
+                for got, ids in zip(out, want):
+                    _assert_same_bytes(got, ids)
+            for s, ids in zip(sources, want):
+                _assert_same_bytes(rne.range_query(int(s), targets, tau), ids)
+
+    def test_tau_one_ulp_around_a_served_distance(self, small_grid, dtype):
+        matrix = np.random.default_rng(1).normal(size=(small_grid.n, 6)).astype(dtype)
+        model, index, rne = _served(small_grid, matrix)
+        targets = np.arange(1, small_grid.n, 3, dtype=np.int64)
+        ftype = model.matrix.dtype.type
+        for s in (0, 17, 40):
+            dists = model.distances_from(s, targets)
+            t = int(np.argsort(dists, kind="stable")[dists.size // 2])
+            served = dists[t]
+            below = np.nextafter(served, ftype(-np.inf))
+            above = np.nextafter(served, ftype(np.inf))
+            # A Python float a quarter ulp below: it rounds to ``served``
+            # in float32, so the boundary target stays in.
+            quarter = float(served) - (float(served) - float(below)) / 4
+            for tau, inside in (
+                (float(below), False),
+                (float(served), True),
+                (float(above), True),
+                (quarter, None),
+            ):
+                want = _brute_range(model, s, targets, tau)
+                if inside is not None:
+                    assert (targets[t] in want) == inside
+                if dtype is np.float32:
+                    assert targets[t] in _brute_range(model, s, targets, quarter)
+                engine = BatchQueryEngine(model=model, index=index)
+                prepared = engine.prepare(targets)
+                src = np.array([s], dtype=np.int64)
+                for out in _three_passes(engine, "range", src, prepared, tau):
+                    _assert_same_bytes(out[0], want)
+                _assert_same_bytes(rne.range_query(s, targets, tau), want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tau_beyond_the_dtype_range_answers_every_target(self, small_grid, dtype):
+        """A huge finite ``tau`` answers everything, without a cast warning."""
+        matrix = np.random.default_rng(1).normal(size=(small_grid.n, 6)).astype(dtype)
+        model, index, rne = _served(small_grid, matrix)
+        targets = np.arange(1, small_grid.n, 3, dtype=np.int64)
+        sources = np.array([0, 17, 40], dtype=np.int64)
+        for tau in (float(np.finfo(dtype).max), 1e39, np.inf):
+            engine = BatchQueryEngine(model=model, index=index)
+            prepared = engine.prepare(targets)
+            for out in _three_passes(engine, "range", sources, prepared, tau):
+                for got in out:
+                    _assert_same_bytes(got, targets)
+            _assert_same_bytes(rne.range_query(0, targets, tau), targets)
 
 
 class TestExactServing:

@@ -141,6 +141,10 @@ class TestServingCli:
         """The serving bench's only baseline was the per-query index walk."""
         assert "serving" not in EXPERIMENTS
 
+    def test_labeling_experiment_retired(self):
+        """Its parity checks live in tests/parallel; perfbench times labelling."""
+        assert "labeling" not in EXPERIMENTS
+
 
 class TestUpdateCommand:
     def test_model_is_required(self):
