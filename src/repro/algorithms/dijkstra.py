@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import csgraph
 
 from ..graph import Graph
@@ -135,38 +134,24 @@ def bidirectional_dijkstra(graph: Graph, source: int, target: int) -> float:
     return best
 
 
-def sssp_rows(matrix: sparse.csr_matrix, sources: np.ndarray) -> np.ndarray:
-    """Distance rows for ``sources`` against a prebuilt scipy CSR matrix.
-
-    This is the single SSSP kernel shared by the serial labelling path and
-    the :mod:`repro.parallel` worker processes — both call exactly this
-    function on bit-identical CSR arrays, which is what makes the parallel
-    gather bit-identical to the serial one regardless of worker count.
-
-    The matrix already stores both directions of every edge, so it runs in
-    scipy's directed mode: the undirected mode would build a transpose and
-    relax every arc twice, for the same distances.
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    if sources.size == 0:
-        return np.empty((0, int(matrix.shape[0])), dtype=np.float64)
-    return np.asarray(
-        csgraph.dijkstra(matrix, directed=True, indices=sources),
-        dtype=np.float64,
-    )
-
-
 def sssp_many(graph: Graph, sources: np.ndarray | list[int]) -> np.ndarray:
     """Distances from each source to every vertex, via scipy's C Dijkstra.
 
     Returns an array of shape ``(len(sources), n)``; unreachable entries are
     ``inf``.  This is the labelling oracle for training-sample generation —
     one SSSP per landmark/source is far cheaper than per-pair queries.
+
+    The CSR matrix already stores both directions of every edge, so it runs
+    in scipy's directed mode: the undirected mode would build a transpose
+    and relax every arc twice, for the same distances.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         return np.empty((0, graph.n), dtype=np.float64)
-    return sssp_rows(graph.to_csr_matrix(), sources)
+    return np.asarray(
+        csgraph.dijkstra(graph.to_csr_matrix(), directed=True, indices=sources),
+        dtype=np.float64,
+    )
 
 
 def pair_distances(graph: Graph, pairs: np.ndarray) -> np.ndarray:

@@ -77,21 +77,6 @@ def _run_train(argv: list[str]) -> int:
     )
     parser.add_argument("--size", type=int, default=16, help="grid side length")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "ground-truth labelling worker processes (default: REPRO_WORKERS "
-            "env var, else serial); the trained model is bit-identical for "
-            "any value"
-        ),
-    )
-    parser.add_argument(
-        "--no-prefetch",
-        action="store_true",
-        help="label samples synchronously instead of on a background thread",
-    )
     args = parser.parse_args(argv)
 
     if args.resume and args.checkpoint_dir is None:
@@ -106,11 +91,7 @@ def _run_train(argv: list[str]) -> int:
     try:
         rne = build_rne(
             graph,
-            RNEConfig(
-                seed=args.seed,
-                workers=args.workers,
-                prefetch=not args.no_prefetch,
-            ),
+            RNEConfig(seed=args.seed),
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
         )
@@ -123,8 +104,7 @@ def _run_train(argv: list[str]) -> int:
     labeling = rne.history.labeling
     if labeling:
         print(
-            f"labeling: mode={labeling.get('mode')} "
-            f"sssp_runs={labeling.get('sssp_runs')} "
+            f"labeling: sssp_runs={labeling.get('sssp_runs')} "
             f"cache_hits={labeling.get('cache_hits')} "
             f"label_seconds={labeling.get('label_seconds', 0.0):.2f}"
         )
@@ -316,12 +296,6 @@ def _run_update(argv: list[str]) -> int:
         "--validation-size", type=int, default=500, help="held-out validation pairs"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="labelling worker processes (default: REPRO_WORKERS env var)",
-    )
-    parser.add_argument(
         "--checkpoint-dir",
         default=None,
         help="journal the published embedding into this checkpoint directory",
@@ -373,7 +347,6 @@ def _run_update(argv: list[str]) -> int:
             rounds=args.rounds,
             validation_size=args.validation_size,
             seed=args.seed,
-            workers=args.workers,
         )
     except TrainingDiverged as exc:
         print(f"update diverged beyond recovery: {exc}", file=sys.stderr)

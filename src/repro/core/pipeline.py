@@ -28,7 +28,6 @@ import numpy as np
 
 from ..algorithms.landmarks import select_landmarks
 from ..graph import Graph, PartitionHierarchy
-from ..parallel import PrefetchPipeline, make_labeler, resolve_workers
 from ..reliability.artifacts import (
     ArtifactError,
     artifact_version,
@@ -116,14 +115,6 @@ class RNEConfig:
     optimizer: str = "adam"
     lr: float = 0.02
     batch_size: int = 2048
-    # data pipeline: `workers=None` defers to the REPRO_WORKERS environment
-    # variable (default serial); `prefetch` labels phase k+1 on a background
-    # thread while phase k trains.  scipy's Dijkstra holds the GIL, so the
-    # two threads take turns and labelling is not hidden behind SGD.
-    # Neither affects trained values: sampling uses per-stage RNG streams
-    # and the parallel labeler is bit-identical to the serial one.
-    workers: int | None = None
-    prefetch: bool = True
     # evaluation
     validation_size: int = 4000
     seed: int = 0
@@ -326,18 +317,15 @@ def build_rne(
     regressing loss rolls the stage back and retries at a reduced learning
     rate (see :mod:`repro.reliability.checkpoint`).
 
-    ``config.workers`` fans ground-truth labelling over a process pool and
-    ``config.prefetch`` labels each phase's samples on a background thread
-    during the previous phase's SGD epochs (see :mod:`repro.parallel`; the
-    labelling kernel holds the GIL, so this does not hide its cost).  The
-    trained embedding is bit-identical for any setting of either.
+    Ground-truth labelling runs in-process: each stage labels its samples
+    on the training thread just before it trains.
     """
     if config is None:
         config = RNEConfig()
     if seed is not None:
         config = replace(config, seed=seed)
     rng = np.random.default_rng(config.seed)
-    labeler = make_labeler(graph, workers=config.workers)
+    labeler = DistanceLabeler(graph)
     history = BuildHistory()
     start = time.perf_counter()
     manager = (
@@ -346,37 +334,34 @@ def build_rne(
         else None
     )
 
-    try:
-        val_pairs, val_phi = validation_set(
-            graph, config.validation_size, labeler,
-            seed=np.random.default_rng(config.seed + 99),
+    val_pairs, val_phi = validation_set(
+        graph, config.validation_size, labeler,
+        seed=np.random.default_rng(config.seed + 99),
+    )
+    mean_phi = _mean_distance_probe(graph, labeler, rng)
+    # The hierarchy and initial embeddings are rebuilt deterministically
+    # from config.seed on every call, so a resumed run only needs the
+    # checkpointed block, Adam state and RNG position to be
+    # bit-identical to an uninterrupted one.
+    scale = _init_scale(mean_phi, config.d)
+    hierarchy: PartitionHierarchy | None = None
+    if config.hierarchical:
+        hierarchy = PartitionHierarchy(
+            graph, fanout=config.fanout, leaf_size=config.leaf_size, seed=rng
         )
-        mean_phi = _mean_distance_probe(graph, labeler, rng)
-        # The hierarchy and initial embeddings are rebuilt deterministically
-        # from config.seed on every call, so a resumed run only needs the
-        # checkpointed block, Adam state and RNG position to be
-        # bit-identical to an uninterrupted one.
-        scale = _init_scale(mean_phi, config.d)
-        hierarchy: PartitionHierarchy | None = None
-        if config.hierarchical:
-            hierarchy = PartitionHierarchy(
-                graph, fanout=config.fanout, leaf_size=config.leaf_size, seed=rng
-            )
-        hmodel = HierarchicalRNE(
-            hierarchy, config.d, n=graph.n, p=config.p, init_scale=scale, seed=rng
-        )
-        # One labelling source set for every stage, from its own stream.
-        sources = source_set(graph, hierarchy, _stage_rng(config.seed, "sources"))
-        stages = _stage_table(
-            graph, config, hierarchy, hmodel.num_levels, labeler, sources
-        )
-        _run_stages(
-            stages, graph, config, hmodel, rng, labeler, history, val_pairs,
-            val_phi, sources, manager=manager, resume=resume,
-        )
-        history.labeling = labeler.snapshot()
-    finally:
-        labeler.close()
+    hmodel = HierarchicalRNE(
+        hierarchy, config.d, n=graph.n, p=config.p, init_scale=scale, seed=rng
+    )
+    # One labelling source set for every stage, from its own stream.
+    sources = source_set(graph, hierarchy, _stage_rng(config.seed, "sources"))
+    stages = _stage_table(
+        graph, config, hierarchy, hmodel.num_levels, labeler, sources
+    )
+    _run_stages(
+        stages, graph, config, hmodel, rng, labeler, history, val_pairs,
+        val_phi, sources, manager=manager, resume=resume,
+    )
+    history.labeling = labeler.snapshot()
 
     history.build_seconds = time.perf_counter() - start
     history.sssp_runs = labeler.sssp_runs
@@ -478,11 +463,11 @@ class _Stage:
     """One training step of Algorithm 1: a row of the stage table.
 
     ``sample`` draws and labels the step's pairs from the step's own RNG
-    stream; it runs as a prefetch job, so it never touches the model or
-    the main RNG.  ``sample=None`` marks active fine-tuning, whose
-    error-driven draws depend on the live model; it applies its
-    vertex-only ``level_lrs`` inside :func:`active_finetune`.  ``lr`` is the
-    base learning rate that divergence recovery backs off from, and
+    stream, so it never touches the model or the main RNG.
+    ``sample=None`` marks active fine-tuning, whose error-driven draws
+    depend on the live model; it applies its vertex-only ``level_lrs``
+    inside :func:`active_finetune`.  ``lr`` is the base learning rate
+    that divergence recovery backs off from, and
     ``error_key`` the ``phase_errors`` entry recorded after the step, if any.
     """
 
@@ -606,8 +591,9 @@ def _run_stages(
 ) -> None:
     """Train ``hmodel`` in place through the stage table, one loop for all.
 
-    Each step runs under divergence recovery, records its training
-    history and validation error, and writes a checkpoint.  With
+    Each sampling step labels its pairs just before it trains.  Each
+    step runs under divergence recovery, records its training history
+    and validation error, and writes a checkpoint.  With
     ``resume`` the latest valid checkpoint is restored first and only the
     later steps run; skipped steps consume no RNG draws, because the
     restored stream position already accounts for them.
@@ -619,80 +605,64 @@ def _run_stages(
         done = _restore_latest(manager, names, hmodel.block, adam, rng, history)
     snapshot, restore = rollback_pair(hmodel.block, adam, rng)
 
-    # Every pending step's samples are queued on the prefetch pipeline:
-    # each job draws from its own per-stage RNG stream, so step-(k+1)
-    # labelling can run during step-k SGD epochs on the main RNG and stay
-    # bit-identical to the synchronous order.
-    prefetch = PrefetchPipeline(enabled=config.prefetch)
-    for stage in stages[done + 1 :]:
-        if stage.sample is not None:
-            prefetch.add(stage.name, stage.sample)
-    prefetch.start()
-    try:
-        for step, stage in enumerate(stages):
-            if step <= done:
-                continue
-            stage_start = time.perf_counter()
-            if stage.sample is None:
-                buckets = GridBuckets(
-                    graph, config.grid_k, seed=rng, candidates=sources
-                )
-                outcome = run_with_recovery(
-                    lambda scale, _s=stage: active_finetune(
-                        hmodel,
-                        buckets,
-                        labeler,
-                        val_pairs,
-                        val_phi,
-                        rounds=config.finetune_rounds,
-                        samples_per_round=config.finetune_samples,
-                        mode=config.finetune_mode,
-                        config=config.train_config(_s.epochs, lr=_s.lr * scale),
-                        seed=rng,
-                    ),
-                    snapshot,
-                    restore,
-                    stage=stage.name,
-                    history_of=lambda r: r.mean_rel_errors,
-                )
-                history.finetune = outcome.result
-            else:
-                pairs, phi = prefetch.get(stage.name)
-                outcome = run_with_recovery(
-                    lambda scale, _s=stage: train_hierarchical(
-                        hmodel,
-                        pairs,
-                        phi,
-                        _s.level_lrs,
-                        config.train_config(_s.epochs, lr=_s.lr * scale),
-                        rng,
-                        adam=adam,
-                        on_epoch=abort_on_nonfinite(_s.name),
-                    ),
-                    snapshot,
-                    restore,
-                    stage=stage.name,
-                )
-                history.train_results[stage.name] = outcome.result
-            history.notes.extend(outcome.notes)
-            history.phase_seconds[stage.name] = time.perf_counter() - stage_start
-            if stage.error_key is not None:
-                history.phase_errors[stage.error_key] = (
-                    outcome.result.mean_rel_errors[-1]
-                    if stage.sample is None
-                    else error_report(hmodel.query_pairs(val_pairs), val_phi).mean_rel
-                )
-            if manager is not None:
-                arrays, meta = pack_state(hmodel.block, adam)
-                meta["rng_state"] = rng_state(rng)
-                meta["worker_config"] = {
-                    "workers": resolve_workers(config.workers),
-                    "prefetch": bool(config.prefetch),
-                }
-                meta.update(_serialize_history(history))
-                manager.save(stage.name, arrays, meta, step=step)
-    finally:
-        prefetch.close()
+    for step, stage in enumerate(stages):
+        if step <= done:
+            continue
+        stage_start = time.perf_counter()
+        if stage.sample is None:
+            buckets = GridBuckets(
+                graph, config.grid_k, seed=rng, candidates=sources
+            )
+            outcome = run_with_recovery(
+                lambda scale, _s=stage: active_finetune(
+                    hmodel,
+                    buckets,
+                    labeler,
+                    val_pairs,
+                    val_phi,
+                    rounds=config.finetune_rounds,
+                    samples_per_round=config.finetune_samples,
+                    mode=config.finetune_mode,
+                    config=config.train_config(_s.epochs, lr=_s.lr * scale),
+                    seed=rng,
+                ),
+                snapshot,
+                restore,
+                stage=stage.name,
+                history_of=lambda r: r.mean_rel_errors,
+            )
+            history.finetune = outcome.result
+        else:
+            pairs, phi = stage.sample()
+            outcome = run_with_recovery(
+                lambda scale, _s=stage: train_hierarchical(
+                    hmodel,
+                    pairs,
+                    phi,
+                    _s.level_lrs,
+                    config.train_config(_s.epochs, lr=_s.lr * scale),
+                    rng,
+                    adam=adam,
+                    on_epoch=abort_on_nonfinite(_s.name),
+                ),
+                snapshot,
+                restore,
+                stage=stage.name,
+            )
+            history.train_results[stage.name] = outcome.result
+        history.notes.extend(outcome.notes)
+        history.phase_seconds[stage.name] = time.perf_counter() - stage_start
+        if stage.error_key is not None:
+            history.phase_errors[stage.error_key] = (
+                outcome.result.mean_rel_errors[-1]
+                if stage.sample is None
+                else error_report(hmodel.query_pairs(val_pairs), val_phi).mean_rel
+            )
+        if manager is not None:
+            arrays, meta = pack_state(hmodel.block, adam)
+            meta["rng_state"] = rng_state(rng)
+            meta.update(_serialize_history(history))
+            manager.save(stage.name, arrays, meta, step=step)
 
     if config.active and graph.coords is None:
         note = "graph has no coordinates: fine-tuning skipped"

@@ -27,10 +27,7 @@ and caching SSSP rows.  A build draws one labelling source set ``S``
 random source pool from ``S`` (the ``candidates`` argument of the
 samplers), so later stages reuse rows earlier stages computed instead of
 meeting them only by chance.  External callers leave ``candidates`` unset,
-which makes every vertex a candidate.  The labeler exposes a
-``_sssp_rows`` hook so :class:`repro.parallel.ParallelDistanceLabeler` can
-fan the SSSP runs over a worker pool while inheriting the cache and
-accounting unchanged.
+which makes every vertex a candidate.
 """
 
 from __future__ import annotations
@@ -49,13 +46,13 @@ def stage_rng(seed: int, stage: str) -> np.random.Generator:
     """Independent sample stream for ``stage``, derived statelessly from the
     run seed.
 
-    Decoupling sample generation from the main training RNG is what makes
-    the prefetching pipeline deterministic: a stage's samples are identical
-    whether they are drawn eagerly on the background thread, lazily on the
-    caller thread, or re-derived by a resumed run — the stream depends only
-    on ``(seed, stage name)``, never on when the draw happens.  Incremental
-    updates reuse the same convention so their validation sets honour the
-    caller's seed (see :mod:`repro.core.update`).
+    Decoupling sample generation from the main training RNG is what lets a
+    resumed build skip finished stages: a stage's samples are identical
+    whether it runs in an uninterrupted build or is re-derived by a resumed
+    run — the stream depends only on ``(seed, stage name)``, never on which
+    stages drew before it.  Incremental updates reuse the same convention
+    so their validation sets honour the caller's seed (see
+    :mod:`repro.core.update`).
     """
     return np.random.default_rng([seed, zlib.crc32(stage.encode("utf-8"))])
 
@@ -88,21 +85,6 @@ class DistanceLabeler:
         self.pairs_labelled = 0
         self.label_seconds = 0.0
 
-    # -- SSSP backend ----------------------------------------------------
-    def _sssp_rows(self, sources: Sequence[int]) -> np.ndarray:
-        """Distance rows for ``sources`` — the hook a parallel labeler
-        overrides; the serial path delegates to scipy's C Dijkstra."""
-        return sssp_many(self.graph, list(sources))
-
-    def close(self) -> None:
-        """Release labelling resources (no-op for the serial labeler)."""
-
-    def __enter__(self) -> "DistanceLabeler":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
     # -- cache plumbing --------------------------------------------------
     def _store(self, source: int, row: np.ndarray) -> None:
         self._cache[source] = row
@@ -116,7 +98,7 @@ class DistanceLabeler:
             self._cache.move_to_end(source)
             self.cache_hits += 1
             return self._cache[source]
-        row = self._sssp_rows([source])[0]
+        row = sssp_many(self.graph, [source])[0]
         self.sssp_runs += 1
         self._store(source, row)
         return row
@@ -148,7 +130,7 @@ class DistanceLabeler:
             else:
                 missing.append(s)
         if missing:
-            rows = self._sssp_rows(missing)
+            rows = sssp_many(self.graph, missing)
             self.sssp_runs += len(missing)
             for s, row in zip(missing, rows):  # perf: loop-ok (per source)
                 resolved[s] = row
@@ -166,7 +148,6 @@ class DistanceLabeler:
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe counters, mirroring ``ServingStats`` conventions."""
         return {
-            "mode": "serial",
             "sssp_runs": self.sssp_runs,
             "cache_hits": self.cache_hits,
             "pairs_labelled": self.pairs_labelled,

@@ -12,8 +12,7 @@ The procedure:
 1. collect the endpoint vertices of changed edges and their ``hops``-hop
    neighbourhoods (the region whose distances can have changed);
 2. sample exactly ``samples`` (affected vertex, random vertex) pairs per
-   round through the budgeted top-up sampler, labelled on the *new* graph
-   (optionally over the parallel labeling pool);
+   round through the budgeted top-up sampler, labelled on the *new* graph;
 3. run vertex-level training (coarse levels frozen — the global layout is
    unchanged by local weight edits) **on a private copy** of the model,
    with per-round divergence rollback and a keep-best policy;
@@ -125,7 +124,6 @@ def update_rne(
     config: TrainConfig | None = None,
     validation_size: int = 1000,
     seed: int | np.random.Generator | None = 0,
-    workers: int | None = None,
     labeler: DistanceLabeler | None = None,
 ) -> UpdateResult:
     """Fine-tune ``hmodel``'s vertex level against ``new_graph``.
@@ -142,10 +140,8 @@ def update_rne(
     ``seed`` drives both the per-round sample draws and — via a stage
     stream (:func:`~repro.core.sampling.stage_rng`) — the validation set,
     so two updates with the same seed are bit-identical and different
-    seeds validate on different pairs.  ``workers`` fans ground-truth
-    labelling over the parallel pool (``None`` defers to REPRO_WORKERS);
-    ``labeler`` injects a pre-warmed labeler for ``new_graph`` instead —
-    the caller keeps ownership of an injected labeler's lifecycle.
+    seeds validate on different pairs.  ``labeler`` injects a pre-warmed
+    labeler for ``new_graph`` instead of a fresh one.
     """
     if new_graph.n != hmodel.n:
         raise ValueError(
@@ -163,14 +159,8 @@ def update_rne(
     else:
         val_rng = np.random.default_rng(int(rng.integers(np.iinfo(np.int64).max)))
 
-    owns_labeler = labeler is None
     if labeler is None:
-        # Imported lazily: repro.parallel itself imports the core sampling
-        # module, so a module-level import here would be cyclic at package
-        # initialisation time.
-        from ..parallel import make_labeler
-
-        labeler = make_labeler(new_graph, workers=workers)
+        labeler = DistanceLabeler(new_graph)
 
     train_start = time.perf_counter()
     result = UpdateResult()
@@ -257,12 +247,8 @@ def update_rne(
         ).mean_rel
         return result
     finally:
-        try:
-            result.labeling = labeler.snapshot()
-            result.train_seconds = time.perf_counter() - train_start
-        finally:
-            if owns_labeler:
-                labeler.close()
+        result.labeling = labeler.snapshot()
+        result.train_seconds = time.perf_counter() - train_start
 
 
 UpdateHook = Callable[[UpdateResult], None]

@@ -25,9 +25,6 @@ HOT_PATH_FILES = (
     "core/update.py",
     "serving/engine.py",
     "serving/frontdoor.py",
-    "parallel/pool.py",
-    "parallel/labeler.py",
-    "parallel/prefetch.py",
     "live/update.py",
 )
 
@@ -51,7 +48,7 @@ class HotPathPythonLoop(Rule):
     name = "hot-path-python-loop"
     description = (
         "Python for-loops over vertices/pairs in the training, sampling, "
-        "indexing, serving and parallel-labelling hot paths require a "
+        "indexing, serving and live-update hot paths require a "
         "'# perf: loop-ok' waiver"
     )
 

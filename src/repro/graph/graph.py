@@ -212,10 +212,8 @@ class Graph:
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The raw CSR arrays ``(indptr, indices, weights)``.
 
-        These back :meth:`to_csr_matrix` directly (no copy), so a fork-based
-        worker pool can inherit them through copy-on-write memory and
-        rebuild an identical adjacency matrix without pickling the graph.
-        Treat them as read-only.
+        These back :meth:`to_csr_matrix` directly (no copy).  Treat them as
+        read-only.
         """
         return self._indptr, self._dst, self._wgt
 

@@ -279,7 +279,6 @@ class LiveUpdateManager:
         config: Optional[TrainConfig] = None,
         validation_size: int = 1000,
         seed: int = 0,
-        workers: Optional[int] = None,
     ) -> UpdateStats:
         """Run one full live update; returns its :class:`UpdateStats`.
 
@@ -308,7 +307,6 @@ class LiveUpdateManager:
             config=config,
             validation_size=validation_size,
             seed=seed,
-            workers=workers,
         )
         stats.affected_vertices = result.affected_vertices
         stats.changed_rows = int(result.changed_rows.size)

@@ -14,7 +14,6 @@ from repro.algorithms import (
     pair_distances,
     sssp_many,
 )
-from repro.algorithms.dijkstra import sssp_rows
 from repro.graph import Graph, grid_city, multi_city
 
 
@@ -132,7 +131,7 @@ def test_sssp_rows_directed_equals_undirected(name):
     gives the undirected distances byte for byte."""
     g = KERNEL_GRAPHS[name]()
     sources = np.arange(g.n, dtype=np.int64)
-    got = sssp_rows(g.to_csr_matrix(), sources)
+    got = sssp_many(g, sources)
     want = np.asarray(
         csgraph.dijkstra(g.to_csr_matrix(), directed=False, indices=sources),
         dtype=np.float64,

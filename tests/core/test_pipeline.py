@@ -42,9 +42,9 @@ FAST = RNEConfig(
 #: ``sha256(rne.model.matrix.tobytes())[:16]`` of FAST-config builds on
 #: ``medium_grid``, recorded when the served matrix became float32 (the
 #: float64 ancestor sums of the float32 training block, rounded once).  A
-#: change that keeps embeddings byte-identical leaves every digest alone,
-#: with and without ``REPRO_WORKERS=2``; one that changes them on purpose
-#: records the new digests here and documents the change.
+#: change that keeps embeddings byte-identical leaves every digest alone;
+#: one that changes them on purpose records the new digests here and
+#: documents the change.
 GOLDEN_MATRIX_DIGESTS = {
     "hierarchical": (FAST, "7a899f2549cddf8f"),
     "flat": (replace(FAST, hierarchical=False), "b0a3d374ed05481e"),
@@ -91,6 +91,12 @@ class TestBuild:
 
     def test_build_time_recorded(self, rne):
         assert rne.history.build_seconds > 0
+
+    def test_labeling_observability(self, rne):
+        labeling = rne.history.labeling
+        assert labeling["sssp_runs"] > 0
+        assert labeling["pairs_labelled"] > 0
+        assert rne.history.phase_seconds.keys() >= {"vertex", "joint"}
 
     def test_default_config(self, small_grid):
         # build_rne() must work with no config at all.

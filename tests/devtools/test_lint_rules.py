@@ -67,13 +67,13 @@ def test_rules_respect_scoping():
     # diagnostics, not a hot path.
     found = run_rule("RNE004", "rne004_bad.py", "src/repro/core/analysis.py")
     assert found == []
-    # ...while the sampling, build-driver and parallel-labelling modules
-    # are in scope.
+    # ...while the sampling, build-driver and live-update modules are in
+    # scope.
     found = run_rule("RNE004", "rne004_bad.py", "src/repro/core/sampling.py")
     assert len(found) >= 2
     found = run_rule("RNE004", "rne004_bad.py", "src/repro/core/pipeline.py")
     assert len(found) >= 2
-    found = run_rule("RNE004", "rne004_bad.py", "src/repro/parallel/pool.py")
+    found = run_rule("RNE004", "rne004_bad.py", "src/repro/live/update.py")
     assert len(found) >= 2
 
 

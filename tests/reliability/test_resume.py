@@ -224,6 +224,31 @@ class TestLegacyCheckpoint:
         assert resumed.history.phase_errors == rel_rne.history.phase_errors
 
 
+    def test_checkpoint_with_retired_labelling_key_resumes(
+        self, rel_graph, rel_config, rel_rne, tmp_path
+    ):
+        """Older checkpoints also recorded the labelling settings (worker
+        count, background sampling flag) under a key the build no longer
+        reads.  Those settings were never part of the trained state, so such
+        a checkpoint still resumes, and the build equals an uninterrupted
+        one."""
+        manager = CheckpointManager(tmp_path, graph=rel_graph)
+        build_rne(rel_graph, rel_config, checkpoint_dir=str(tmp_path))
+        arrays, meta = manager.load("vertex")
+        manager.clear()
+        step = meta["step"]
+        meta = {k: v for k, v in meta.items() if k not in ("stage", "step")}
+        meta["worker_config"] = {"workers": 2, "prefetch": True}
+        manager.save("vertex", arrays, meta, step=step)
+
+        resumed = build_rne(
+            rel_graph, rel_config, checkpoint_dir=str(tmp_path), resume=True
+        )
+        assert "resumed from checkpoint 'vertex'" in resumed.history.notes
+        np.testing.assert_array_equal(resumed.model.matrix, rel_rne.model.matrix)
+        assert resumed.history.phase_errors == rel_rne.history.phase_errors
+
+
 class TestNoJointResume:
     def test_crash_and_resume_without_joint_stage(
         self, rel_graph, rel_config, tmp_path

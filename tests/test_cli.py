@@ -142,7 +142,7 @@ class TestServingCli:
         assert "serving" not in EXPERIMENTS
 
     def test_labeling_experiment_retired(self):
-        """Its parity checks live in tests/parallel; perfbench times labelling."""
+        """Labelling is checked in tests/core; perfbench times it."""
         assert "labeling" not in EXPERIMENTS
 
 
