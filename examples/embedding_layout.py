@@ -4,33 +4,18 @@ Run:  python examples/embedding_layout.py
 
 The paper's Fig. 7 shows 2-d embeddings of Manhattan: trained flat, many
 vertices collapse into corner clusters; trained hierarchically, the
-embedding preserves the city's global layout.  This script trains both at
-d=2 on a grid city, renders each embedding as an ASCII density map, and
-prints the collapse statistic.
+embedding preserves the city's global layout.  This script builds both at
+d=2 on a grid city with ``build_rne`` (``hierarchical=False`` is the flat
+arm), renders each embedding as an ASCII density map, and prints the
+collapse statistic and the layout correlation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import grid_city
-from repro.bench.experiments import _collapse_fraction
-from repro.core import (
-    DistanceLabeler,
-    HierarchicalRNE,
-    RNEModel,
-    TrainConfig,
-    landmark_samples,
-    level_schedule,
-    random_pair_samples,
-    train_flat,
-    train_hierarchical,
-    subgraph_level_samples,
-    vertex_only_schedule,
-)
-from repro.core.training import AdamState
-from repro.algorithms import select_landmarks
-from repro.graph import PartitionHierarchy
+from repro import RNEConfig, build_rne, grid_city
+from repro.core.analysis import collapse_fraction, layout_correlation
 
 
 def ascii_density(matrix: np.ndarray, *, rows: int = 14, cols: int = 44) -> str:
@@ -58,47 +43,26 @@ def ascii_density(matrix: np.ndarray, *, rows: int = 14, cols: int = 44) -> str:
 
 def main() -> None:
     graph = grid_city(20, 20, seed=11)
-    labeler = DistanceLabeler(graph)
-    rng = np.random.default_rng(0)
-    probe = random_pair_samples(graph, 400, labeler, rng)[1]
-    mean_phi = float(np.mean(probe))
-    d = 2
-    scale = mean_phi * np.sqrt(np.pi) / (2 * d)
-
-    print("Training a FLAT 2-d embedding on random pairs...")
-    flat = RNEModel.random(graph.n, d, scale=scale, seed=1)
-    for _ in range(6):
-        pairs, phi = random_pair_samples(graph, 8000, labeler, rng)
-        train_flat(flat, pairs, phi, TrainConfig(epochs=3, lr=0.05), rng)
-
-    print("Training a HIERARCHICAL 2-d embedding (Algorithm 1)...")
-    hierarchy = PartitionHierarchy(graph, fanout=4, leaf_size=32, seed=2)
-    hier = HierarchicalRNE(hierarchy, d, init_scale=scale, seed=2)
-    adam = AdamState.for_model(hier)
-    for focus in range(hierarchy.num_subgraph_levels):
-        pairs, phi = subgraph_level_samples(hierarchy, focus, 6000, labeler, rng)
-        train_hierarchical(
-            hier, pairs, phi, level_schedule(focus, hier.num_levels),
-            TrainConfig(epochs=3, lr=0.05), rng, adam=adam,
-        )
-    landmarks = select_landmarks(graph, 40, seed=3)
-    for _ in range(5):
-        pairs, phi = landmark_samples(graph, landmarks, 8000, labeler, rng)
-        train_hierarchical(
-            hier, pairs, phi, vertex_only_schedule(hier.num_levels),
-            TrainConfig(epochs=2, lr=0.05), rng, adam=adam,
-        )
+    print("Training a FLAT and a HIERARCHICAL 2-d embedding (Algorithm 1)...")
+    matrices = {
+        name: build_rne(graph, RNEConfig(d=2, hierarchical=hierarchical)).model.matrix
+        for name, hierarchical in (("flat", False), ("hierarchical", True))
+    }
 
     print("\nOriginal city (vertex coordinates):")
     print(ascii_density(graph.coords))
     print("\nFlat-trained embedding (Fig. 7b — look for collapsed clumps):")
-    print(ascii_density(flat.matrix))
+    print(ascii_density(matrices["flat"]))
     print("\nHierarchically trained embedding (Fig. 7c — layout preserved):")
-    print(ascii_density(hier.global_matrix()))
+    print(ascii_density(matrices["hierarchical"]))
 
-    print("\nCollapse statistic (share of near-coincident embedding pairs):")
-    print(f"  flat         : {_collapse_fraction(flat.matrix) * 100:.2f}%")
-    print(f"  hierarchical : {_collapse_fraction(hier.global_matrix()) * 100:.2f}%")
+    print("\nCollapse statistic (share of near-coincident embedding pairs)")
+    print("and layout correlation (embedding vs spatial distance):")
+    for name, matrix in matrices.items():
+        print(
+            f"  {name:<12} : {collapse_fraction(matrix) * 100:.2f}%, "
+            f"{layout_correlation(matrix, graph.coords):.2f}"
+        )
 
 
 if __name__ == "__main__":

@@ -20,6 +20,9 @@ import numpy as np
 from ..graph import Graph
 from .dijkstra import sssp_many
 
+#: The ``strategy`` names :func:`select_landmarks` accepts.
+LANDMARK_STRATEGIES = ("farthest", "random", "degree")
+
 
 def select_landmarks(
     graph: Graph,

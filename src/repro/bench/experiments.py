@@ -15,36 +15,23 @@ from __future__ import annotations
 import functools
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ..algorithms.knn import range_true
 from ..baselines import DeepWalk, DeepWalkRegression, GeometricEstimator, GTreeIndex
 from ..core import (
+    BuildHistory,
     DistanceLabeler,
-    GridBuckets,
-    HierarchicalRNE,
-    RNEConfig,
-    RNEModel,
-    TrainConfig,
-    active_finetune,
     build_rne,
-    bucketed_errors,
     error_cdf,
     error_report,
     f1_score,
-    landmark_samples,
-    level_schedule,
     random_pair_samples,
-    subgraph_level_samples,
-    train_flat,
-    train_hierarchical,
-    validation_set,
-    vertex_only_schedule,
 )
-from ..core.training import AdamState
-from ..algorithms.landmarks import select_landmarks
-from ..graph import Graph, PartitionHierarchy, delaunay_country, multi_city, radial_city
+from ..core.analysis import collapse_fraction, layout_correlation
+from ..graph import Graph, delaunay_country, multi_city, radial_city
 from .methods import TABLE_METHODS, BuiltMethod, build_method, default_rne_config
 from .reporting import format_series, format_table, human_bytes
 from .workloads import distance_scale_groups, random_queries, spatial_workload
@@ -247,130 +234,96 @@ def fig10_dimension(
 # ======================================================================
 # Fig. 11 (+ Figs. 7/8): hierarchical training and active fine-tuning
 # ======================================================================
+def _stage_curve(history: BuildHistory) -> list[tuple[str, int, float]]:
+    """``(stage, cumulative pairs trained, validation error after it)``
+    for every stage of a build, in build order."""
+    curve = []
+    consumed = 0
+    for name, pairs in history.phase_pairs.items():
+        consumed += pairs
+        curve.append((name, consumed, history.phase_errors[f"after_{name}"]))
+    return curve
+
+
 def fig11_hier_aft(*, fast: bool = False, seed: int = 3) -> dict:
     """Training curves of RNE-Naive / RNE-Hier, each with and without
-    active fine-tuning, on one shared validation set.
+    active fine-tuning: two :func:`build_rne` runs from one seed, which
+    therefore share one validation set.
 
-    Also reports the Fig. 7 layout statistic (fraction of collapsed
-    embedding pairs) for the flat vs hierarchical models.
+    The Hier curve is its build's stage record (pairs trained against the
+    validation error after each stage).  The flat arm has a single stage,
+    so its curve points are flat builds at growing ``vertex_samples``.
+    "RNE-X" is an arm's error before its ``finetune`` stage, "RNE-X-AFT"
+    its ``after_finetune``, and the AFT tails are the fine-tuning rounds'
+    validation errors.  Also reports the Fig. 7 layout statistics of the
+    two served matrices.
     """
     graph = get_dataset("BJ-S", fast=fast)
-    labeler = DistanceLabeler(graph)
-    rng = np.random.default_rng(seed)
-    val_pairs, val_phi = validation_set(graph, 400 if fast else 2000, labeler)
-    d = 16 if fast else 64
-    chunk = 4000 if fast else 20_000
-    n_chunks = 3 if fast else 6
-    epochs = 2 if fast else 3
-    mean_phi = float(np.mean(val_phi))
-    init_scale = mean_phi * np.sqrt(np.pi) / (2 * d)
-
-    def rel(model) -> float:
-        return error_report(model.query_pairs(val_pairs), val_phi).mean_rel
-
-    # --- RNE-Naive: flat table on random pairs -------------------------
-    naive = RNEModel.random(graph.n, d, scale=init_scale, seed=1)
-    naive_curve: list[tuple[int, float]] = []
-    consumed = 0
-    for _ in range(n_chunks):
-        pairs, phi = random_pair_samples(graph, chunk, labeler, rng)
-        train_flat(naive, pairs, phi, TrainConfig(epochs=epochs), rng)
-        consumed += len(pairs) * epochs
-        naive_curve.append((consumed, rel(naive)))
-
-    # --- RNE-Hier: Algorithm 1 phases 1+2 -------------------------------
-    hierarchy = PartitionHierarchy(graph, fanout=4, leaf_size=32, seed=2)
-    hier = HierarchicalRNE(hierarchy, d, init_scale=init_scale, seed=2)
-    hier_curve: list[tuple[int, float]] = []
-    consumed = 0
-    adam = AdamState.for_model(hier)
-    for focus in range(hierarchy.num_subgraph_levels):
-        pairs, phi = subgraph_level_samples(hierarchy, focus, chunk // 2, labeler, rng)
-        train_hierarchical(
-            hier, pairs, phi, level_schedule(focus, hier.num_levels),
-            TrainConfig(epochs=epochs), rng, adam=adam,
-        )
-        consumed += len(pairs) * epochs
-        hier_curve.append((consumed, rel(hier)))
-    landmarks = select_landmarks(graph, min(100, graph.n), seed=rng)
-    for _ in range(n_chunks):
-        pairs, phi = landmark_samples(graph, landmarks, chunk, labeler, rng)
-        train_hierarchical(
-            hier, pairs, phi, vertex_only_schedule(hier.num_levels),
-            TrainConfig(epochs=epochs), rng, adam=adam,
-        )
-        consumed += len(pairs) * epochs
-        hier_curve.append((consumed, rel(hier)))
-
-    # --- AFT continuations (Fig. 11's red dashed tails) -----------------
-    buckets = GridBuckets(graph, 8 if fast else 12, seed=4)
-    ft_rounds = 2 if fast else 5
-    naive_aft = naive.copy()
-    res_naive = active_finetune(
-        naive_aft, buckets, labeler, val_pairs, val_phi,
-        rounds=ft_rounds, samples_per_round=chunk // 2, seed=5,
+    config = replace(
+        default_rne_config(graph, quality="fast" if fast else "standard"), seed=seed
     )
-    hier_aft = hier.clone()
-    res_hier = active_finetune(
-        hier_aft, buckets, labeler, val_pairs, val_phi,
-        rounds=ft_rounds, samples_per_round=chunk // 2, seed=5,
-    )
-
-    # --- Fig. 7 layout statistics ---------------------------------------
-    from ..core.analysis import layout_correlation
-
-    collapse = {
-        "naive": _collapse_fraction(naive.matrix),
-        "hier": _collapse_fraction(hier.global_matrix()),
+    naive_config = replace(config, hierarchical=False)
+    builds = {
+        "naive": build_rne(graph, naive_config),
+        "hier": build_rne(graph, config),
     }
-    layout = {
-        "naive": layout_correlation(naive.matrix, graph.coords),
-        "hier": layout_correlation(hier.global_matrix(), graph.coords),
+    curves = {
+        arm: [(pairs, err) for name, pairs, err in _stage_curve(rne.history)
+              if name != "finetune"]
+        for arm, rne in builds.items()
     }
-
+    for div in (2, 4):
+        history = build_rne(graph, replace(
+            naive_config, vertex_samples=config.vertex_samples // div, active=False
+        )).history
+        curves["naive"].insert(
+            0, (history.phase_pairs["flat"], history.phase_errors["after_flat"])
+        )
+    arms = (("naive", "RNE-Naive"), ("hier", "RNE-Hier"))
+    final = {}
+    for arm, label in arms:
+        final[label] = curves[arm][-1][1]
+        final[f"{label}-AFT"] = builds[arm].history.phase_errors["after_finetune"]
+    matrices = {arm: rne.model.matrix for arm, rne in builds.items()}
+    collapse = {arm: collapse_fraction(m) for arm, m in matrices.items()}
+    layout = {arm: layout_correlation(m, graph.coords) for arm, m in matrices.items()}
     result = {
-        "naive_curve": naive_curve,
-        "hier_curve": hier_curve,
-        "naive_aft": res_naive.mean_rel_errors,
-        "hier_aft": res_hier.mean_rel_errors,
-        "final": {
-            "RNE-Naive": rel(naive),
-            "RNE-Hier": rel(hier),
-            "RNE-Naive-AFT": rel(naive_aft),
-            "RNE-Hier-AFT": rel(hier_aft),
-        },
+        "naive_curve": curves["naive"],
+        "hier_curve": curves["hier"],
+        "naive_aft": builds["naive"].history.finetune.mean_rel_errors,
+        "hier_aft": builds["hier"].history.finetune.mean_rel_errors,
+        "final": final,
         "collapse_fraction": collapse,
         "layout_correlation": layout,
     }
     lines = [
         format_series(
-            "Fig 11 — RNE-Naive", [s for s, _ in naive_curve],
-            [e * 100 for _, e in naive_curve], x_label="samples", y_label="e_rel %",
-        ),
+            f"Fig 11 — {label}", [s for s, _ in curves[arm]],
+            [e * 100 for _, e in curves[arm]], x_label="pairs trained",
+            y_label="e_rel %",
+        )
+        for arm, label in arms
+    ] + [
         format_series(
-            "Fig 11 — RNE-Hier", [s for s, _ in hier_curve],
-            [e * 100 for _, e in hier_curve], x_label="samples", y_label="e_rel %",
-        ),
+            f"Fig 11 — {label}-AFT", list(range(len(result[f"{arm}_aft"]))),
+            [e * 100 for e in result[f"{arm}_aft"]], x_label="round",
+            y_label="e_rel %",
+        )
+        for arm, label in arms
+    ] + [
         format_table(
-            ["model", "final e_rel %"],
-            [[k, f"{v * 100:.2f}"] for k, v in result["final"].items()],
-            title="Fig 11 — final errors",
+            ["model", "e_rel %"],
+            [[k, f"{v * 100:.2f}"] for k, v in final.items()],
+            title="Fig 11 — errors before and after active fine-tuning",
         ),
         format_table(
             ["model", "collapsed pair fraction", "layout correlation"],
-            [
-                [k, f"{collapse[k]:.4f}", f"{layout[k]:.3f}"]
-                for k in collapse
-            ],
+            [[k, f"{collapse[k]:.4f}", f"{layout[k]:.3f}"] for k in collapse],
             title="Fig 7 — embedding layout statistics",
         ),
     ]
     result["report"] = "\n\n".join(lines)
     return result
-
-
-# Collapse statistic shared with the embedding-layout example.
-from ..core.analysis import collapse_fraction as _collapse_fraction  # noqa: E402
 
 
 # ======================================================================
@@ -382,68 +335,36 @@ def fig12_landmarks(
     fast: bool = False,
     seed: int = 9,
 ) -> dict:
-    """Vertex-phase sample selection: |U| landmarks vs random pairs.
+    """Vertex-phase sample selection: |U| random landmarks vs uniform sources.
 
-    All arms branch from one shared hierarchy-phase model, train the vertex
-    level with their strategy, and report validation error per epoch; the
-    paper's finding is that a *moderate* |U| beats both extremes.
+    Each arm is one :func:`build_rne` run; the arms differ only in
+    ``num_landmarks``.  Fine-tuning and the joint polish are off, so the
+    vertex stage is each build's last, and every arm trains the same
+    hierarchy phase (stages draw from their own RNG streams).  "Random" is
+    the ``|U| = |V|`` arm, whose landmark samples have uniform sources.
+    ``best`` is each arm's validation error after its vertex stage and
+    ``traces`` the vertex stage's per-epoch training error.  The paper's
+    finding is that a *moderate* |U| beats both extremes.
     """
     graph = get_dataset("BJ-S", fast=fast)
-    labeler = DistanceLabeler(graph)
-    rng = np.random.default_rng(seed)
-    val_pairs, val_phi = validation_set(graph, 400 if fast else 2000, labeler)
     if counts is None:
-        counts = (4, 16, 128) if fast else (10, 100, 1000, min(10_000, graph.n))
-    counts = tuple(min(c, graph.n) for c in counts)
-    d = 16 if fast else 64
-    samples = 6000 if fast else 40_000
-    epochs = 4 if fast else 10
-
-    # Shared phase-1 model.
-    hierarchy = PartitionHierarchy(graph, fanout=4, leaf_size=32, seed=1)
-    mean_phi = float(np.mean(val_phi))
-    base = HierarchicalRNE(
-        hierarchy, d, init_scale=mean_phi * np.sqrt(np.pi) / (2 * d), seed=1
+        counts = (4, 16, 128) if fast else (10, 100, 1000)
+    base = replace(
+        default_rne_config(graph, quality="fast" if fast else "standard"),
+        seed=seed, landmark_strategy="random", active=False, joint_epochs=0,
     )
-    adam = AdamState.for_model(base)
-    for focus in range(hierarchy.num_subgraph_levels):
-        pairs, phi = subgraph_level_samples(hierarchy, focus, samples // 2, labeler, rng)
-        train_hierarchical(
-            base, pairs, phi, level_schedule(focus, base.num_levels),
-            TrainConfig(epochs=2), rng, adam=adam,
-        )
-
-    def run_arm(sample_fn) -> list[float]:
-        arm = base.clone()
-        arm_adam = AdamState.for_model(arm)
-        trace = []
-        arm_rng = np.random.default_rng(33)
-        for _ in range(epochs):
-            pairs, phi = sample_fn(arm_rng)
-            train_hierarchical(
-                arm, pairs, phi, vertex_only_schedule(arm.num_levels),
-                TrainConfig(epochs=1), arm_rng, adam=arm_adam,
-            )
-            trace.append(
-                error_report(arm.query_pairs(val_pairs), val_phi).mean_rel
-            )
-        return trace
-
+    arms = {f"LM{min(c, graph.n)}": min(c, graph.n) for c in counts}
+    arms["Random"] = graph.n
     traces: dict[str, list[float]] = {}
-    for c in counts:
-        landmarks = select_landmarks(graph, c, strategy="random", seed=17)
-        traces[f"LM{c}"] = run_arm(
-            lambda r, lm=landmarks: landmark_samples(graph, lm, samples, labeler, r)
-        )
-    traces["Random"] = run_arm(
-        lambda r: random_pair_samples(graph, samples, labeler, r)
-    )
-
-    best = {name: float(np.min(t)) for name, t in traces.items()}
+    best: dict[str, float] = {}
+    for name, count in arms.items():
+        history = build_rne(graph, replace(base, num_landmarks=count)).history
+        traces[name] = history.train_results["vertex"].mean_rel_error
+        best[name] = history.phase_errors["after_vertex"]
     report = format_table(
-        ["strategy", "best e_rel %"],
+        ["strategy", "e_rel % after vertex stage"],
         [[k, f"{v * 100:.2f}"] for k, v in best.items()],
-        title="Fig 12 — landmark-based sample selection (best validation error)",
+        title="Fig 12 — landmark-based sample selection (validation error)",
     )
     return {"traces": traces, "best": best, "report": report}
 

@@ -9,11 +9,12 @@ other bands stay under-fitted (Fig. 8).  Active fine-tuning iterates:
 2. draw new training pairs from the worst buckets (``local``) or from every
    bucket proportionally to its error (``global``),
 3. train on them — only the vertex level for the hierarchical model, the
-   whole table for the flat one,
+   whole table for the flat one (a one-level hierarchy),
 
 which flattens the error-versus-distance profile and lowers both the mean
-and the variance of ``e_rel``.  Works on either model class so the Fig. 11
-ablation can compare Naive/Hier with and without AFT.
+and the variance of ``e_rel``.  It is the last stage of
+:func:`~repro.core.pipeline.build_rne` for both the RNE-Hier and the
+RNE-Naive arm.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from ..devtools.contracts import shapes
 from .hierarchical import HierarchicalRNE
 from .metrics import bucketed_errors
-from .model import RNEModel
 from .sampling import DistanceLabeler, GridBuckets, error_based_samples
 from .training import (
     AdamState,
@@ -53,7 +53,7 @@ class FinetuneResult:
 
 @shapes(val_pairs="(k,2):int", val_phi="(k,):float:finite")
 def active_finetune(
-    model: HierarchicalRNE | RNEModel,
+    hmodel: HierarchicalRNE,
     buckets: GridBuckets,
     labeler: DistanceLabeler,
     val_pairs: np.ndarray,
@@ -64,29 +64,21 @@ def active_finetune(
     mode: str = "global",
     config: TrainConfig | None = None,
     seed: int | np.random.Generator | None = 0,
-    keep_best: bool = True,
 ) -> FinetuneResult:
     """Run the error-driven fine-tuning loop in place.
 
     Each round re-measures the bucketed validation error of the current
     model, draws ``samples_per_round`` pairs targeted at high-error buckets
-    and trains on them.  A flat table — an :class:`RNEModel` or a
-    one-level :class:`HierarchicalRNE` without a hierarchy — trains in
-    place and restarts Adam every round.  With ``keep_best`` the model is
-    rolled back to the best-validation round at the end (fine-tuning on a
+    and trains on them.  A one-level model without a hierarchy (the flat
+    table, :meth:`HierarchicalRNE.flat`) restarts Adam every round; a
+    hierarchical one keeps one optimiser across rounds, of which only the
+    vertex level steps.  At the end the model is rolled back to the
+    best-validation round when the last one is worse (fine-tuning on a
     narrow distribution can overshoot).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if config is None:
         config = TrainConfig(epochs=2, batch_size=1024, lr=0.01)
-    # The flat table trains as a one-level hierarchy.  As RNE-Naive it
-    # restarts Adam every round; the hierarchical model keeps one optimiser
-    # across rounds, of which only the vertex level steps.
-    hmodel = (
-        HierarchicalRNE.flat(model.matrix, p=model.p)
-        if isinstance(model, RNEModel)
-        else model
-    )
     adam = (
         AdamState.for_model(hmodel)
         if hmodel.hierarchy is not None and config.optimizer == "adam"
@@ -111,7 +103,7 @@ def active_finetune(
         mean_rel, rel = measure()
         result.mean_rel_errors.append(mean_rel)
         result.bucket_errors.append(rel)
-        if keep_best and mean_rel < best_err:
+        if mean_rel < best_err:
             best_err = mean_rel
             best_snapshot = hmodel.block.copy()
 
@@ -127,9 +119,8 @@ def active_finetune(
     mean_rel, rel = measure()
     result.mean_rel_errors.append(mean_rel)
     result.bucket_errors.append(rel)
-    if keep_best and best_snapshot is not None and mean_rel > best_err:
-        # In place: a flat model's matrix is this block, not a copy.  Only
-        # the vertex level trained, so the coarse rows restore unchanged.
+    if best_snapshot is not None and mean_rel > best_err:
+        # Only the vertex level trained, so the coarse rows restore unchanged.
         hmodel.block[...] = best_snapshot
     result.sssp_runs = labeler.sssp_runs - runs_before
     result.pairs_labelled = labeler.pairs_labelled - pairs_before

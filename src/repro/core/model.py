@@ -26,8 +26,8 @@ def lp_distance(diff: np.ndarray, p: float) -> np.ndarray:
     Supports fractional ``p`` (the paper ablates ``p = 0.5``), for which
     this is the standard quasi-norm ``(sum |x|^p)^(1/p)``.
     """
-    if p <= 0:
-        raise ValueError(f"p must be > 0, got {p}")
+    if not (np.isfinite(p) and p > 0):
+        raise ValueError(f"p must be finite and > 0, got {p}")
     if p == 1.0:
         return np.abs(diff).sum(axis=-1)
     if p == 2.0:
@@ -110,8 +110,8 @@ class RNEModel:
         matrix = as_served(matrix)
         if matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-d, got shape {matrix.shape}")
-        if p <= 0:
-            raise ValueError(f"p must be > 0, got {p}")
+        if not (np.isfinite(p) and p > 0):
+            raise ValueError(f"p must be finite and > 0, got {p}")
         self.matrix = matrix
         self.p = float(p)
 

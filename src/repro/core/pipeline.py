@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..algorithms.landmarks import select_landmarks
+from ..algorithms.landmarks import LANDMARK_STRATEGIES, select_landmarks
 from ..graph import Graph, PartitionHierarchy
 from ..reliability.artifacts import (
     ArtifactError,
@@ -132,8 +132,12 @@ class RNEConfig:
 class BuildHistory:
     """Everything measured during construction."""
 
+    #: ``after_<stage>`` validation error per stage, plus ``final``
+    #: (measured on the served matrix).
     phase_errors: dict[str, float] = field(default_factory=dict)
     phase_seconds: dict[str, float] = field(default_factory=dict)
+    #: Pairs trained per stage (pairs x epochs).
+    phase_pairs: dict[str, int] = field(default_factory=dict)
     train_results: dict[str, TrainResult] = field(default_factory=dict)
     finetune: FinetuneResult | None = None
     build_seconds: float = 0.0
@@ -324,6 +328,7 @@ def build_rne(
         config = RNEConfig()
     if seed is not None:
         config = replace(config, seed=seed)
+    _check_config(config)
     rng = np.random.default_rng(config.seed)
     labeler = DistanceLabeler(graph)
     history = BuildHistory()
@@ -370,6 +375,38 @@ def build_rne(
     return rne
 
 
+def _check_config(config: RNEConfig) -> None:
+    """Reject a bad config before anything is labelled or trained.
+
+    Called by :func:`build_rne` rather than ``__post_init__`` because
+    callers edit configs after construction.  Without it a bad stage
+    option only failed when its stage started, after every earlier stage
+    had run, and a bad ``p`` or ``validation_size=0`` surfaced as a
+    mis-typed :class:`~repro.reliability.checkpoint.TrainingDiverged`.
+    """
+    config.train_config(1)  # batch_size, lr and optimizer
+    if not (np.isfinite(config.p) and config.p > 0):
+        raise ValueError(f"RNEConfig.p must be finite and > 0, got {config.p}")
+    for name in (
+        "d", "hier_epochs", "vertex_epochs", "num_landmarks", "grid_k",
+        "validation_size",
+    ):
+        if getattr(config, name) < 1:
+            raise ValueError(
+                f"RNEConfig.{name} must be >= 1, got {getattr(config, name)}"
+            )
+    if config.finetune_mode not in ("global", "local"):
+        raise ValueError(
+            "RNEConfig.finetune_mode must be 'global' or 'local', "
+            f"got {config.finetune_mode!r}"
+        )
+    if config.landmark_strategy not in LANDMARK_STRATEGIES:
+        raise ValueError(
+            f"RNEConfig.landmark_strategy must be one of {LANDMARK_STRATEGIES}, "
+            f"got {config.landmark_strategy!r}"
+        )
+
+
 def _init_scale(mean_phi: float, d: int) -> float:
     """Std-dev so random init produces distances of the right magnitude.
 
@@ -384,6 +421,7 @@ def _serialize_history(history: BuildHistory) -> dict[str, Any]:
     return {
         "phase_errors": {k: float(v) for k, v in history.phase_errors.items()},
         "phase_seconds": {k: float(v) for k, v in history.phase_seconds.items()},
+        "phase_pairs": {k: int(v) for k, v in history.phase_pairs.items()},
         "train_results": {
             name: {"mse": list(res.mse), "mean_rel_error": list(res.mean_rel_error)}
             for name, res in history.train_results.items()
@@ -403,6 +441,9 @@ def _restore_history(history: BuildHistory, meta: dict[str, Any]) -> None:
     )
     history.phase_seconds.update(
         {k: float(v) for k, v in meta.get("phase_seconds", {}).items()}
+    )
+    history.phase_pairs.update(
+        {k: int(v) for k, v in meta.get("phase_pairs", {}).items()}
     )
     for name, payload in meta.get("train_results", {}).items():
         history.train_results[name] = TrainResult(
@@ -467,8 +508,7 @@ class _Stage:
     ``sample=None`` marks active fine-tuning, whose error-driven draws
     depend on the live model; it applies its vertex-only ``level_lrs``
     inside :func:`active_finetune`.  ``lr`` is the base learning rate
-    that divergence recovery backs off from, and
-    ``error_key`` the ``phase_errors`` entry recorded after the step, if any.
+    that divergence recovery backs off from.
     """
 
     name: str
@@ -476,7 +516,6 @@ class _Stage:
     level_lrs: np.ndarray
     epochs: int
     lr: float
-    error_key: str | None = None
 
 
 def _stage_table(
@@ -513,10 +552,8 @@ def _stage_table(
             np.ones(1, dtype=np.float64),
             config.hier_epochs + config.vertex_epochs,
             config.lr,
-            "after_flat",
         ))
     else:
-        last = hierarchy.num_subgraph_levels - 1
         for focus in range(hierarchy.num_subgraph_levels):
             name = f"hier_level_{focus}"
             stages.append(_Stage(
@@ -528,7 +565,6 @@ def _stage_table(
                 level_schedule(focus, num_levels),
                 config.hier_epochs,
                 config.lr,
-                "after_hierarchy" if focus == last else None,
             ))
         stages.append(_Stage(
             "vertex",
@@ -548,7 +584,6 @@ def _stage_table(
             vertex_only_schedule(num_levels),
             config.vertex_epochs,
             config.lr,
-            "after_vertex",
         ))
         if config.joint_epochs > 0:
             stages.append(_Stage(
@@ -560,7 +595,6 @@ def _stage_table(
                 np.full(num_levels, config.joint_lr_weight, dtype=np.float64),
                 config.joint_epochs,
                 config.lr,
-                "after_joint",
             ))
     if config.active and graph.coords is not None:
         stages.append(_Stage(
@@ -569,7 +603,6 @@ def _stage_table(
             vertex_only_schedule(num_levels),
             2,
             config.lr / 4 if hierarchy is None else config.lr / 2,
-            "after_finetune",
         ))
     return stages
 
@@ -592,8 +625,9 @@ def _run_stages(
     """Train ``hmodel`` in place through the stage table, one loop for all.
 
     Each sampling step labels its pairs just before it trains.  Each
-    step runs under divergence recovery, records its training history
-    and validation error, and writes a checkpoint.  With
+    step runs under divergence recovery, records its training history,
+    the pairs it trained (``phase_pairs``) and its validation error
+    (``phase_errors["after_<name>"]``), and writes a checkpoint.  With
     ``resume`` the latest valid checkpoint is restored first and only the
     later steps run; skipped steps consume no RNG draws, because the
     restored stream position already accounts for them.
@@ -632,6 +666,7 @@ def _run_stages(
                 history_of=lambda r: r.mean_rel_errors,
             )
             history.finetune = outcome.result
+            pairs_trained = outcome.result.pairs_labelled * stage.epochs
         else:
             pairs, phi = stage.sample()
             outcome = run_with_recovery(
@@ -650,14 +685,13 @@ def _run_stages(
                 stage=stage.name,
             )
             history.train_results[stage.name] = outcome.result
+            pairs_trained = len(pairs) * stage.epochs
         history.notes.extend(outcome.notes)
         history.phase_seconds[stage.name] = time.perf_counter() - stage_start
-        if stage.error_key is not None:
-            history.phase_errors[stage.error_key] = (
-                outcome.result.mean_rel_errors[-1]
-                if stage.sample is None
-                else error_report(hmodel.query_pairs(val_pairs), val_phi).mean_rel
-            )
+        history.phase_pairs[stage.name] = pairs_trained
+        history.phase_errors[f"after_{stage.name}"] = error_report(
+            hmodel.query_pairs(val_pairs), val_phi
+        ).mean_rel
         if manager is not None:
             arrays, meta = pack_state(hmodel.block, adam)
             meta["rng_state"] = rng_state(rng)

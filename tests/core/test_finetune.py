@@ -46,7 +46,7 @@ class TestActiveFinetune:
             model, buckets, labeler, val_pairs, val_phi,
             rounds=3, samples_per_round=1500, seed=1,
         )
-        # keep_best guarantees the final model is no worse than the start.
+        # The keep-best rollback leaves the model no worse than the start.
         final = min(result.mean_rel_errors[-1], min(result.mean_rel_errors))
         assert final <= result.mean_rel_errors[0] + 1e-9
 
@@ -80,7 +80,9 @@ class TestActiveFinetune:
     def test_flat_model_supported(self, trained, medium_grid):
         _, buckets, labeler, val_pairs, val_phi = trained
         scale = float(np.mean(val_phi)) / 16
-        flat = RNEModel.random(medium_grid.n, 16, scale=scale, seed=0)
+        flat = HierarchicalRNE.flat(
+            RNEModel.random(medium_grid.n, 16, scale=scale, seed=0).matrix
+        )
         result = active_finetune(
             flat, buckets, labeler, val_pairs, val_phi,
             rounds=3, samples_per_round=2000, seed=1,

@@ -37,8 +37,9 @@ class TestLpDistance:
         np.testing.assert_allclose(lp_distance(diffs, 1.0), [2.0, 4.0])
 
     def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            lp_distance(np.array([1.0]), 0.0)
+        for p in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                lp_distance(np.array([1.0]), p)
 
     def test_zero_vector(self):
         assert lp_distance(np.zeros(4), 1.0) == 0.0
@@ -135,8 +136,9 @@ class TestRNEModel:
             RNEModel(np.zeros(3))
 
     def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            RNEModel(np.zeros((2, 2)), p=0.0)
+        for p in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                RNEModel(np.zeros((2, 2)), p=p)
 
 
 class TestTopkRows:

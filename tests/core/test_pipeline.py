@@ -81,10 +81,21 @@ class TestBuild:
         assert rne.history.phase_errors["final"] < 0.10
 
     def test_phases_recorded(self, rne):
-        keys = rne.history.phase_errors
-        assert "after_hierarchy" in keys
+        history = rne.history
+        keys = history.phase_errors
+        last_level = rne.hierarchy.num_subgraph_levels - 1
+        assert f"after_hier_level_{last_level}" in keys
         assert "after_vertex" in keys
         assert "final" in keys
+        # Every stage records its error, its pairs and its seconds.
+        assert history.phase_pairs.keys() == history.phase_seconds.keys()
+        assert set(keys) == {f"after_{s}" for s in history.phase_pairs} | {"final"}
+        assert history.phase_pairs["vertex"] == (
+            FAST.vertex_samples * FAST.vertex_epochs
+        )
+        assert history.phase_pairs["finetune"] == (
+            history.finetune.pairs_labelled * 2
+        )
 
     def test_finetune_ran(self, rne):
         assert rne.history.finetune is not None
@@ -109,6 +120,33 @@ class TestBuild:
             ),
         )
         assert result.model.n == small_grid.n
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"validation_size": 0},
+        {"p": float("nan")},
+        {"p": float("inf")},
+        {"finetune_mode": "worst"},
+        {"landmark_strategy": "central"},
+        {"num_landmarks": 0},
+        {"grid_k": 0},
+    ],
+    ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
+)
+def test_bad_config_rejected_before_labelling(small_grid, monkeypatch, change):
+    """``build_rne`` validates its config before it labels anything, so a
+    bad stage option fails at once with a ``ValueError`` naming the field,
+    not when its stage starts or as a ``TrainingDiverged``."""
+
+    def no_labelling(*args, **kwargs):
+        raise AssertionError("labelled before the config was checked")
+
+    monkeypatch.setattr("repro.core.pipeline.validation_set", no_labelling)
+    field = next(iter(change))
+    with pytest.raises(ValueError, match=rf"RNEConfig\.{field}"):
+        build_rne(small_grid, replace(FAST, **change))
 
 
 class TestQueries:
@@ -249,3 +287,4 @@ class TestSgdBuild:
             assert any("resumed from checkpoint" in n for n in resumed.history.notes)
             np.testing.assert_array_equal(resumed.model.matrix, baseline.model.matrix)
             assert resumed.history.phase_errors == baseline.history.phase_errors
+            assert resumed.history.phase_pairs == baseline.history.phase_pairs

@@ -74,6 +74,7 @@ class TestCheckpointedBuild:
                 resumed.model.matrix, rel_rne.model.matrix
             )
             assert resumed.history.phase_errors == rel_rne.history.phase_errors
+            assert resumed.history.phase_pairs == rel_rne.history.phase_pairs
 
     def test_crash_mid_artifact_write_leaves_no_torn_checkpoint(
         self, rel_graph, rel_config, rel_rne, tmp_path
@@ -124,6 +125,7 @@ def _assert_resumes_at_every_boundary(graph, config, baseline, tmp_path):
         assert any("resumed from checkpoint" in n for n in resumed.history.notes)
         np.testing.assert_array_equal(resumed.model.matrix, baseline.model.matrix)
         assert resumed.history.phase_errors == baseline.history.phase_errors
+        assert resumed.history.phase_pairs == baseline.history.phase_pairs
 
 
 class TestFlatResume:
@@ -157,6 +159,7 @@ class TestFlatResume:
         assert not any("resumed from" in n for n in resumed.history.notes)
         np.testing.assert_array_equal(resumed.model.matrix, baseline.model.matrix)
         assert resumed.history.phase_errors == baseline.history.phase_errors
+        assert resumed.history.phase_pairs == baseline.history.phase_pairs
 
 
 class TestLegacyCheckpoint:
@@ -192,6 +195,7 @@ class TestLegacyCheckpoint:
         assert not any("resumed from" in n for n in resumed.history.notes)
         np.testing.assert_array_equal(resumed.model.matrix, rel_rne.model.matrix)
         assert resumed.history.phase_errors == rel_rne.history.phase_errors
+        assert resumed.history.phase_pairs == rel_rne.history.phase_pairs
 
 
     def test_float64_checkpoint_starts_fresh(
@@ -222,6 +226,7 @@ class TestLegacyCheckpoint:
         assert not any("resumed from" in n for n in resumed.history.notes)
         np.testing.assert_array_equal(resumed.model.matrix, rel_rne.model.matrix)
         assert resumed.history.phase_errors == rel_rne.history.phase_errors
+        assert resumed.history.phase_pairs == rel_rne.history.phase_pairs
 
 
     def test_checkpoint_with_retired_labelling_key_resumes(
@@ -247,6 +252,7 @@ class TestLegacyCheckpoint:
         assert "resumed from checkpoint 'vertex'" in resumed.history.notes
         np.testing.assert_array_equal(resumed.model.matrix, rel_rne.model.matrix)
         assert resumed.history.phase_errors == rel_rne.history.phase_errors
+        assert resumed.history.phase_pairs == rel_rne.history.phase_pairs
 
 
 class TestNoJointResume:
